@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-parallel bench-parallel-quick bench-wire bench-wire-quick fuzz gateway-smoke trace-smoke cluster-smoke health-smoke dag-smoke lab-smoke
+.PHONY: all build vet test race bench bench-parallel bench-parallel-quick bench-wire bench-wire-quick icebench icebench-quick bench-check fuzz gateway-smoke trace-smoke cluster-smoke health-smoke dag-smoke lab-smoke
 
 all: build vet test
 
@@ -39,6 +39,21 @@ bench-wire:
 # Fast variant for CI smoke, with looser thresholds for noisy runners.
 bench-wire-quick:
 	$(GO) run ./cmd/benchparallel -quick -o '' -wire-o BENCH_wire.json -min-wire-speedup 1.5 -max-stream-lag 0.25
+
+# icebench, the gateway-to-verdict benchmark BENCHMARK.json declares:
+# every workload's timed run, traced run and probes; results land in
+# bench/out/. bench/README.md says how a change states a claim with it.
+icebench:
+	$(GO) run -C bench ice/bench/cmd/icebench
+
+# A tenth of the length: a smoke run whose numbers are never gated.
+icebench-quick:
+	$(GO) run -C bench ice/bench/cmd/icebench -quick
+
+# bench/ is a module of its own, so the root `go vet` and `go test` do
+# not reach it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end gateway check: icegated on a self-deployed lab, two
 # tenants' jobs through the HTTP API, leases verified clean.

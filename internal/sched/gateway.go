@@ -186,7 +186,9 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	spec, err := DecodeJobSpec(body)
+	// Parse only: Submit validates the spec as its first step, and an
+	// invalid one comes back through the 400 default below.
+	spec, err := parseJobSpec(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -231,20 +233,9 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) list(w http.ResponseWriter, r *http.Request) {
-	tenant := r.URL.Query().Get("tenant")
-	jobs := g.S.Jobs()
-	if tenant != "" {
-		filtered := jobs[:0]
-		for _, j := range jobs {
-			if j.Tenant == tenant {
-				filtered = append(filtered, j)
-			}
-		}
-		jobs = filtered
-	}
 	writeJSON(w, http.StatusOK, struct {
 		Jobs []Job `json:"jobs"`
-	}{Jobs: jobs})
+	}{Jobs: g.S.TenantJobs(r.URL.Query().Get("tenant"))})
 }
 
 func (g *Gateway) job(w http.ResponseWriter, r *http.Request) {

@@ -147,6 +147,21 @@ const (
 // out-of-range values are all errors — and never panics on malformed
 // input (FuzzDecodeJobSpec holds it to that).
 func DecodeJobSpec(data []byte) (JobSpec, error) {
+	spec, err := parseJobSpec(data)
+	if err != nil {
+		return JobSpec{}, err
+	}
+	if err := spec.Validate(); err != nil {
+		return JobSpec{}, err
+	}
+	return spec, nil
+}
+
+// parseJobSpec is DecodeJobSpec's strict parse without the validation:
+// the gateway's submit handler uses it because Scheduler.Submit
+// validates whatever it is handed, and validating a dag job means
+// decoding and sorting its graph.
+func parseJobSpec(data []byte) (JobSpec, error) {
 	var spec JobSpec
 	if len(data) > MaxJobSpecBytes {
 		return spec, fmt.Errorf("sched: job spec exceeds %d bytes", MaxJobSpecBytes)
@@ -159,9 +174,6 @@ func DecodeJobSpec(data []byte) (JobSpec, error) {
 	// A second document after the first is garbage, not a request.
 	if dec.More() {
 		return JobSpec{}, fmt.Errorf("sched: trailing data after job spec")
-	}
-	if err := spec.Validate(); err != nil {
-		return JobSpec{}, err
 	}
 	return spec, nil
 }

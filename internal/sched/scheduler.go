@@ -116,8 +116,14 @@ type Scheduler struct {
 	metrics *telemetry.Collector
 	tracer  *trace.Tracer
 
-	mu        sync.Mutex
-	jobs      map[string]*jobEntry
+	mu   sync.Mutex
+	jobs map[string]*jobEntry
+	// live counts each tenant's non-terminal entries in jobs: the number
+	// the MaxOutstanding quota bounds. It moves only where an entry
+	// enters the table non-terminal (WAL replay, Submit, Adopt), is
+	// rolled back out of it, or turns terminal (complete) — so admission
+	// never has to walk the job history.
+	live      map[string]int
 	cancels   map[string]context.CancelFunc
 	recovered []*Job
 	nextSeq   int
@@ -184,6 +190,7 @@ func New(cfg Config) (*Scheduler, error) {
 		metrics: cfg.Metrics,
 		tracer:  cfg.Tracer,
 		jobs:    make(map[string]*jobEntry),
+		live:    make(map[string]int),
 		cancels: make(map[string]context.CancelFunc),
 		stopCh:  make(chan struct{}),
 	}
@@ -202,6 +209,7 @@ func New(cfg Config) (*Scheduler, error) {
 		// their workflow journal.
 		entry.job.Resumed = entry.job.State == StateRunning
 		entry.job.State = StatePending
+		s.live[job.Tenant]++
 		s.recovered = append(s.recovered, &entry.job)
 	}
 	return s, nil
@@ -282,6 +290,7 @@ func (s *Scheduler) Adopt(job Job) error {
 	job.State = StatePending
 	entry := &jobEntry{job: job}
 	s.jobs[job.ID] = entry
+	s.live[job.Tenant]++
 	s.mu.Unlock()
 
 	// Re-root into the job's persisted trace and mark the handoff: the
@@ -299,7 +308,7 @@ func (s *Scheduler) Adopt(job Job) error {
 	limits := s.tenantLimits(snapshot.Tenant)
 	if !s.queue.Push(&entry.job, limits.weight()) {
 		s.mu.Lock()
-		delete(s.jobs, snapshot.ID)
+		s.dropLocked(&snapshot)
 		s.mu.Unlock()
 		queued.End()
 		span.EndErr(fmt.Errorf("adoption rejected: queue full"))
@@ -419,56 +428,61 @@ func (s *Scheduler) Submit(spec JobSpec) (Job, error) {
 			}
 		}
 	}
+	// One critical section takes the job from nothing to admitted:
+	// quota, rate limit, ID and table entry. The quota slot is taken
+	// where it is checked, so concurrent submits of one tenant cannot
+	// both pass MaxOutstanding; every rejection below gives it back.
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
 		return Job{}, ErrStopped
 	}
 	limits := s.tenantLimitsLocked(spec.Tenant)
-	outstanding := 0
-	for _, e := range s.jobs {
-		if e.job.Tenant == spec.Tenant && !e.job.State.Terminal() {
-			outstanding++
-		}
-	}
-	if outstanding >= limits.maxOutstanding() {
+	if outstanding := s.live[spec.Tenant]; outstanding >= limits.maxOutstanding() {
 		s.mu.Unlock()
 		s.metrics.Counter("sched.jobs.rejected.quota").Inc()
 		return Job{}, &Busy{Reason: fmt.Sprintf("tenant quota (%d outstanding jobs)", outstanding), RetryAfter: s.cfg.RetryAfter}
 	}
-	s.mu.Unlock()
-
+	// A rate token is spent only once the quota has passed.
 	if ok, retryAfter := s.limiter.take(spec.Tenant, limits); !ok {
+		s.mu.Unlock()
 		s.metrics.Counter("sched.jobs.rejected.rate").Inc()
 		if retryAfter < time.Second {
 			retryAfter = time.Second
 		}
 		return Job{}, &Busy{Reason: "rate limit", RetryAfter: retryAfter}
 	}
-
-	s.mu.Lock()
 	s.nextSeq++
-	job := Job{
+	entry := &jobEntry{job: Job{
 		ID:                fmt.Sprintf("%s-%06d", s.cfg.IDPrefix, s.nextSeq),
 		Tenant:            spec.Tenant,
 		Spec:              spec,
 		State:             StatePending,
 		SubmittedUnixNano: time.Now().UnixNano(),
-	}
+	}}
+	s.jobs[entry.job.ID] = entry
+	s.live[spec.Tenant]++
+	job := entry.job
+	s.mu.Unlock()
+
 	// The job's root span opens at admission and ends at the terminal
 	// transition; its trace ID is returned to the submitter and survives
 	// in the WAL, so the whole lifecycle — across daemon restarts — is
-	// one trace.
+	// one trace. The spans open outside the lock (the tracer has locks
+	// of its own) and are attached before the queue can hand the job to
+	// a worker.
 	span := s.rootSpan(&job)
-	entry := &jobEntry{job: job, span: span, queued: s.queuedSpan(span)}
-	s.jobs[job.ID] = entry
+	queued := s.queuedSpan(span)
+	s.mu.Lock()
+	entry.job.TraceID = job.TraceID
+	entry.span, entry.queued = span, queued
 	s.mu.Unlock()
 
 	reject := func() {
 		s.mu.Lock()
-		delete(s.jobs, job.ID)
+		s.dropLocked(&job)
 		s.mu.Unlock()
-		entry.queued.End()
+		queued.End()
 		span.EndErr(fmt.Errorf("rejected at admission"))
 	}
 	if !s.queue.Push(&entry.job, limits.weight()) {
@@ -530,12 +544,22 @@ func (s *Scheduler) Job(id string) (Job, bool) {
 }
 
 // Jobs lists all known jobs, newest last.
-func (s *Scheduler) Jobs() []Job {
+func (s *Scheduler) Jobs() []Job { return s.TenantJobs("") }
+
+// TenantJobs lists one tenant's jobs, newest last ("" lists every
+// tenant's). The filter runs before the copy, so a listing copies and
+// sorts only the jobs it returns.
+func (s *Scheduler) TenantJobs(tenant string) []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Job, 0, len(s.jobs))
+	out := []Job{} // never nil: the gateway lists "jobs": [], not null
+	if tenant == "" {
+		out = make([]Job, 0, len(s.jobs))
+	}
 	for _, e := range s.jobs {
-		out = append(out, e.job)
+		if tenant == "" || e.job.Tenant == tenant {
+			out = append(out, e.job)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -936,8 +960,13 @@ func (s *Scheduler) requeueJob(entry *jobEntry, cause error) bool {
 	return true
 }
 
-// complete records a terminal transition: WAL, state, event,
-// counters, and subscriber shutdown.
+// complete records a terminal transition. The WAL record goes first;
+// then one critical section sets the state, frees the tenant's quota
+// slot, appends the terminal event and detaches the subscribers — so a
+// reader that sees a terminal state also sees its terminal event, and
+// a subscriber is either handed that event live or finds it in the
+// backlog. Span close-out, counters, fan-out and channel close follow
+// outside the lock.
 func (s *Scheduler) complete(id string, state State, result json.RawMessage, cause error) {
 	rec := WALRecord{Job: id, State: state, Result: result}
 	if cause != nil && state == StateFailed {
@@ -945,16 +974,36 @@ func (s *Scheduler) complete(id string, state State, result json.RawMessage, cau
 	}
 	s.wal.Append(rec)
 
+	counter, eventType, message := "sched.jobs.done", "done", "job complete"
+	switch state {
+	case StateFailed:
+		counter, eventType, message = "sched.jobs.failed", "failed", rec.Error
+	case StateCancelled:
+		counter, eventType, message = "sched.jobs.cancelled", "cancelled", "job cancelled"
+	}
+
 	s.mu.Lock()
-	entry := s.jobs[id]
+	entry, ok := s.jobs[id]
+	if !ok {
+		// The admission was rolled back (its PENDING record failed to
+		// commit) after a worker had already taken the job.
+		s.mu.Unlock()
+		return
+	}
+	if !entry.job.State.Terminal() {
+		s.releaseSlotLocked(entry.job.Tenant)
+	}
 	entry.job.State = state
 	entry.job.Result = result
 	entry.job.FinishedUnixNano = time.Now().UnixNano()
 	if rec.Error != "" {
 		entry.job.Error = rec.Error
 	}
+	ev := entry.appendEvent(id, eventType, message)
 	span, queued := entry.span, entry.queued
 	entry.span, entry.queued = nil, nil
+	subs := entry.subs
+	entry.subs = nil
 	s.mu.Unlock()
 
 	// Close out the trace: the queue-wait child first (still open when
@@ -966,24 +1015,15 @@ func (s *Scheduler) complete(id string, state State, result json.RawMessage, cau
 	} else {
 		span.End()
 	}
+	s.metrics.Counter(counter).Inc()
 
-	switch state {
-	case StateDone:
-		s.metrics.Counter("sched.jobs.done").Inc()
-		s.emit(id, "done", "job complete")
-	case StateFailed:
-		s.metrics.Counter("sched.jobs.failed").Inc()
-		s.emit(id, "failed", rec.Error)
-	case StateCancelled:
-		s.metrics.Counter("sched.jobs.cancelled").Inc()
-		s.emit(id, "cancelled", "job cancelled")
-	}
-
-	s.mu.Lock()
-	subs := entry.subs
-	entry.subs = nil
-	s.mu.Unlock()
+	// The detached channels are this goroutine's alone now: emit sends
+	// under the lock and only to attached subscribers.
 	for _, ch := range subs {
+		select {
+		case ch <- ev:
+		default:
+		}
 		close(ch)
 	}
 }
@@ -995,30 +1035,36 @@ func (s *Scheduler) completeOrphan(id, reason string) {
 
 // emit appends an event to the job's log and fans it out to
 // subscribers (non-blocking: a stalled SSE client drops events rather
-// than stalling the lab).
+// than stalling the lab). The sends happen under the lock, so they can
+// never reach a channel complete has detached and closed.
 func (s *Scheduler) emit(id, eventType, message string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	entry, ok := s.jobs[id]
 	if !ok {
-		s.mu.Unlock()
 		return
 	}
-	ev := Event{
-		Seq:          len(entry.events) + 1,
-		TimeUnixNano: time.Now().UnixNano(),
-		Job:          id,
-		Type:         eventType,
-		Message:      message,
-	}
-	entry.events = append(entry.events, ev)
-	subs := append([]chan Event(nil), entry.subs...)
-	s.mu.Unlock()
-	for _, ch := range subs {
+	ev := entry.appendEvent(id, eventType, message)
+	for _, ch := range entry.subs {
 		select {
 		case ch <- ev:
 		default:
 		}
 	}
+}
+
+// appendEvent stamps the next event of the job's stream and adds it to
+// the log. Caller holds the scheduler's lock.
+func (e *jobEntry) appendEvent(id, eventType, message string) Event {
+	ev := Event{
+		Seq:          len(e.events) + 1,
+		TimeUnixNano: time.Now().UnixNano(),
+		Job:          id,
+		Type:         eventType,
+		Message:      message,
+	}
+	e.events = append(e.events, ev)
+	return ev
 }
 
 // rootSpan opens the job's root span and stamps the job with its
@@ -1040,6 +1086,21 @@ func (s *Scheduler) rootSpan(job *Job) *trace.Span {
 func (s *Scheduler) queuedSpan(root *trace.Span) *trace.Span {
 	_, queued := trace.Start(trace.ContextWithSpan(context.Background(), root), "sched.queued", trace.ClassSched)
 	return queued
+}
+
+// dropLocked rolls an admission back: the entry leaves the job table
+// and its tenant gets the quota slot back. Caller holds s.mu.
+func (s *Scheduler) dropLocked(job *Job) {
+	delete(s.jobs, job.ID)
+	s.releaseSlotLocked(job.Tenant)
+}
+
+// releaseSlotLocked returns one of the tenant's live-job slots; an
+// idle tenant leaves no entry behind. Caller holds s.mu.
+func (s *Scheduler) releaseSlotLocked(tenant string) {
+	if s.live[tenant]--; s.live[tenant] == 0 {
+		delete(s.live, tenant)
+	}
 }
 
 // tenantLimits resolves a tenant's limits outside the lock.
