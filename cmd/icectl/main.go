@@ -23,14 +23,13 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ice/internal/analysis"
 	"ice/internal/campaign"
 	"ice/internal/core"
 	"ice/internal/datachan"
+	"ice/internal/jsonl"
 	"ice/internal/potentiostat"
 	"ice/internal/pyro"
 	"ice/internal/units"
@@ -222,39 +221,26 @@ func main() {
 		cfg.WaitTimeout = 10 * time.Minute
 		cfg.StreamAnalysis = *streamAnalysis
 		nb, outcome := core.BuildCVWorkflow(session, mount, cfg)
-		if *resume {
-			if *journalPath == "" {
-				log.Fatal("-resume requires -journal")
-			}
-			data, err := os.ReadFile(*journalPath)
-			if err != nil && !os.IsNotExist(err) {
-				log.Fatalf("read journal: %v", err)
-			}
-			if err == nil {
-				records, err := workflow.ReadJournal(bytes.NewReader(data))
-				if err != nil {
-					log.Fatalf("parse journal: %v", err)
-				}
-				if n := nb.Restore(records); n > 0 {
-					fmt.Printf("resuming: %d completed task(s) restored from %s\n", n, *journalPath)
-				}
-			}
-			// The crash may have left the instrument mid-pipeline, where
-			// the resumed acquisition task could not legally re-run.
-			if err := session.ResetSP200(); err != nil {
-				log.Fatalf("reset instrument before resume: %v", err)
-			}
+		if *resume && *journalPath == "" {
+			log.Fatal("-resume requires -journal")
 		}
 		if *journalPath != "" {
-			dir, name := filepath.Split(*journalPath)
-			if dir == "" {
-				dir = "."
-			}
-			j, err := core.OpenAppendFile(dir, name)
+			var records []workflow.TaskRecord
+			j, err := jsonl.Open(*journalPath, jsonl.Collect(&records))
 			if err != nil {
 				log.Fatalf("open journal: %v", err)
 			}
 			defer j.Close()
+			if *resume {
+				if n := nb.Restore(records); n > 0 {
+					fmt.Printf("resuming: %d completed task(s) restored from %s\n", n, *journalPath)
+				}
+				// The crash may have left the instrument mid-pipeline, where
+				// the resumed acquisition task could not legally re-run.
+				if err := session.ResetSP200(); err != nil {
+					log.Fatalf("reset instrument before resume: %v", err)
+				}
+			}
 			nb.SetJournal(j)
 		}
 		if err := nb.Execute(ctx); err != nil {

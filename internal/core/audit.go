@@ -1,14 +1,14 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"path/filepath"
 	"sync"
 	"time"
 
+	"ice/internal/jsonl"
 	"ice/internal/pyro"
 )
 
@@ -88,7 +88,7 @@ func (a *ControlAgent) EnableAudit() error {
 // (a labreg scan host, say) that serve a bare daemon without a
 // ControlAgent around it.
 func EnableDaemonAudit(daemon *pyro.Daemon, dir string) error {
-	f, err := OpenAppendFile(dir, AuditFileName)
+	f, err := jsonl.Open(filepath.Join(dir, AuditFileName), nil)
 	if err != nil {
 		return err
 	}
@@ -102,24 +102,15 @@ func EnableDaemonAudit(daemon *pyro.Daemon, dir string) error {
 	return nil
 }
 
-// ParseAuditJournal decodes a journal fetched over the data channel.
-// Truncated trailing lines (an in-flight transfer) are dropped.
+// ParseAuditJournal decodes a journal fetched over the data channel
+// under the jsonl torn-tail rule: a truncated final line (an in-flight
+// transfer) is dropped, and corruption anywhere else is an error.
 func ParseAuditJournal(data []byte) ([]AuditEntry, error) {
 	var entries []AuditEntry
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var e AuditEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			break // truncated tail
-		}
-		entries = append(entries, e)
+	if _, err := jsonl.Read(bytes.NewReader(data), jsonl.Collect(&entries)); err != nil {
+		return nil, fmt.Errorf("core: audit journal: %w", err)
 	}
-	return entries, sc.Err()
+	return entries, nil
 }
 
 // ReplayResult reports one replayed call.

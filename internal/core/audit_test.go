@@ -166,6 +166,18 @@ func TestParseAuditJournalToleratesTruncation(t *testing.T) {
 	}
 }
 
+// TestParseAuditJournalRejectsInteriorCorruption: a bad line with
+// entries after it is corruption, not a torn tail. Stopping there would
+// hand the exactly-once audit a silently shortened history.
+func TestParseAuditJournalRejectsInteriorCorruption(t *testing.T) {
+	data := []byte(`{"seq":1,"t":1,"object":"ACL_JKem","method":"M"}` + "\n" +
+		"garbage\n" +
+		`{"seq":2,"t":2,"object":"ACL_JKem","method":"M"}` + "\n")
+	if entries, err := ParseAuditJournal(data); err == nil {
+		t.Fatalf("mid-journal corruption parsed as %d entries and no error", len(entries))
+	}
+}
+
 func TestEnableAuditBeforeServeFails(t *testing.T) {
 	agent, err := NewControlAgent(DefaultAgentConfig(t.TempDir()))
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ice/internal/datachan"
+	"ice/internal/jsonl"
 	"ice/internal/netsim"
 	"ice/internal/telemetry"
 	"ice/internal/workflow"
@@ -262,14 +263,14 @@ func TestChaosResumeAfterClientRestart(t *testing.T) {
 
 	// Phase 1: the data channel dies before task D retrieves the
 	// measurement file, so the run fails after A–C completed (and C
-	// moved real liquid). Checkpoints land in an fsynced AppendFile.
+	// moved real liquid). Checkpoints land in an fsynced jsonl.Log.
 	session1, mount1, err := d.ConnectFrom(netsim.HostDGX)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer session1.Close()
 	mount1.Close() // the "crash": data channel gone mid-campaign
-	journal1, err := OpenAppendFile(filepath.Dir(journalPath), filepath.Base(journalPath))
+	journal1, err := jsonl.Open(journalPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -571,8 +571,8 @@ func (e *Engine) commit(n *Node, nr *NodeResult, data []byte, res *Result, how s
 }
 
 // journal emits one workflow.TaskRecord line. Writes are serialised;
-// the underlying writer (core.AppendFile via the scheduler's tee) is
-// also safe for concurrent use.
+// the underlying writer (a jsonl.Log via the scheduler's tee) is also
+// safe for concurrent use.
 func (e *Engine) journal(taskID, status, output, errMsg string) {
 	if e.Journal == nil {
 		return

@@ -54,6 +54,7 @@ import (
 	"sync"
 	"time"
 
+	"ice/internal/jsonl"
 	"ice/internal/sched"
 	"ice/internal/telemetry"
 	"ice/internal/trace"
@@ -521,9 +522,10 @@ func facilityOfJob(id string) string {
 	return ""
 }
 
-// installJournal writes an adopted job's replicated checkpoint lines
-// into the scheduler's state dir, where the LabRunner's Restore path
-// expects them.
+// installJournal writes an adopted job's replicated checkpoint lines,
+// fsynced, into the scheduler's state dir, where the LabRunner's
+// Restore path expects them. The replica holds the job's whole journal,
+// so any local copy is replaced.
 func (n *Node) installJournal(jobID string, lines [][]byte) error {
 	if len(lines) == 0 {
 		return nil
@@ -535,5 +537,17 @@ func (n *Node) installJournal(jobID string, lines [][]byte) error {
 			buf = append(buf, '\n')
 		}
 	}
-	return os.WriteFile(filepath.Join(n.sch.Dir(), jobID+".journal"), buf, 0o644)
+	path := filepath.Join(n.sch.Dir(), jobID+".journal")
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	journal, err := jsonl.Open(path, nil)
+	if err != nil {
+		return err
+	}
+	if _, err := journal.Write(buf); err != nil {
+		journal.Close()
+		return err
+	}
+	return journal.Close()
 }

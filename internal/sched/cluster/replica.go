@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
-	"ice/internal/core"
+	"ice/internal/jsonl"
 	"ice/internal/sched"
 )
 
@@ -18,7 +17,7 @@ const replicaStreamFile = "stream.jsonl"
 
 // origin is one peer facility's replicated stream.
 type origin struct {
-	file *core.AppendFile
+	file *jsonl.Log
 	last uint64
 }
 
@@ -66,19 +65,14 @@ func (s *replicaStore) open(facility string) (*origin, error) {
 	if err := os.MkdirAll(facDir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: replica dir %s: %w", facility, err)
 	}
-	items, err := readStream(filepath.Join(facDir, replicaStreamFile))
-	if err != nil {
-		return nil, err
-	}
-	o := &origin{}
-	for _, it := range items {
-		if it.RepSeq > o.last {
-			o.last = it.RepSeq
-		}
-	}
-	o.file, err = core.OpenAppendFile(facDir, replicaStreamFile)
+	var items []repItem
+	file, err := jsonl.Open(filepath.Join(facDir, replicaStreamFile), jsonl.Collect(&items))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: replica stream %s: %w", facility, err)
+	}
+	o := &origin{file: file}
+	for _, it := range items {
+		o.last = max(o.last, it.RepSeq)
 	}
 	s.origins[facility] = o
 	return o, nil
@@ -144,9 +138,8 @@ func (s *replicaStore) Close() {
 	}
 }
 
-// readStream parses one stream file (missing file = empty stream). A
-// truncated trailing line — a crash mid-append — is dropped; interior
-// corruption is an error.
+// readStream parses one stream file (missing file = empty stream)
+// under the jsonl torn-tail rule.
 func readStream(path string) ([]repItem, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -157,28 +150,8 @@ func readStream(path string) ([]repItem, error) {
 	}
 	defer f.Close()
 	var items []repItem
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
-		var it repItem
-		if err := json.Unmarshal(raw, &it); err != nil {
-			pendingErr = fmt.Errorf("cluster: replica stream line %d: %w", lineNo, err)
-			continue
-		}
-		items = append(items, it)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: read replica stream: %w", err)
+	if _, err := jsonl.Read(f, jsonl.Collect(&items)); err != nil {
+		return nil, fmt.Errorf("cluster: replica stream: %w", err)
 	}
 	return items, nil
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ice/internal/sched"
@@ -83,5 +85,54 @@ func TestReplicaStoreDedupAndRecover(t *testing.T) {
 	}
 	if len(items) != 3 {
 		t.Fatalf("stream grew to %d items on replayed batch, want 3", len(items))
+	}
+}
+
+// TestReplicaStoreAppendAfterTornTail: a replica killed mid-append
+// reopens, acknowledges new items, and must still reopen after that —
+// the torn item is cut off instead of having the next one glued on.
+func TestReplicaStoreAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	item := func(seq uint64) repItem {
+		return repItem{RepSeq: seq, Kind: kindWAL, WAL: &sched.WALRecord{Seq: seq, Job: "faca-000001", State: sched.StateRunning}}
+	}
+	store, err := openReplicaStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Apply("faca", []repItem{item(1), item(2)}); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	f, err := os.OpenFile(filepath.Join(dir, "faca", replicaStreamFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"rep_seq":3,"kind":"wal","wal":{"se`) // kill -9 mid-write
+	f.Close()
+
+	store, err = openReplicaStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := store.LastSeq("faca"); last != 2 {
+		t.Fatalf("LastSeq over torn tail = %d, want 2", last)
+	}
+	if ack, err := store.Apply("faca", []repItem{item(3), item(4)}); err != nil || ack != 4 {
+		t.Fatalf("apply after torn tail: ack %d err %v, want 4 nil", ack, err)
+	}
+	store.Close()
+
+	store, err = openReplicaStore(dir)
+	if err != nil {
+		t.Fatalf("reopen after appending past a torn tail: %v", err)
+	}
+	defer store.Close()
+	items, err := store.Read("faca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 4 || store.LastSeq("faca") != 4 {
+		t.Fatalf("stream holds %d items, last seq %d; want 4 and 4", len(items), store.LastSeq("faca"))
 	}
 }

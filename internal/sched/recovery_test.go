@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,5 +178,88 @@ func TestRecoveryCrashMidJobExactlyOnce(t *testing.T) {
 
 	if active := s2.Leases().Active(); len(active) != 0 {
 		t.Fatalf("leaked leases after recovery: %+v", active)
+	}
+}
+
+// TestLabRunnerResumesTwiceAfterTornJournal: a cv job killed mid-write
+// of a checkpoint, resumed, and killed again must still resume. The
+// first resume has to cut the torn checkpoint off before appending, or
+// its own records are glued onto it and the second resume cannot parse
+// the journal.
+func TestLabRunnerResumesTwiceAfterTornJournal(t *testing.T) {
+	base := t.TempDir()
+	labDir := filepath.Join(base, "lab")
+	if err := os.MkdirAll(labDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.Deploy(labDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	if err := d.Agent.EnableAudit(); err != nil {
+		t.Fatal(err)
+	}
+	leases := NewLeases(time.Minute)
+	defer leases.Close()
+	stateDir := filepath.Join(base, "state")
+	if err := os.MkdirAll(stateDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	lab := &LabRunner{Connector: &DeploymentConnector{D: d, Host: netsim.HostDGX}, Leases: leases, Dir: stateDir}
+	job := Job{ID: "j-000001", Spec: JobSpec{Tenant: "acl", Kind: KindCV, Points: 400}}
+	var events []string
+	emit := func(kind, msg string) { events = append(events, kind+": "+msg) }
+	// attempt runs the job until the checkpoint named by crashAt, where
+	// the run context is cut as a kill would cut it; the rest of the
+	// workflow is skipped.
+	attempt := func(n int, crashAt string) (json.RawMessage, error) {
+		job.Attempts = n
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		lab.OnTask = func(_ string, rec workflow.TaskRecord) {
+			if rec.TaskID+" "+rec.Status == crashAt {
+				cancel()
+			}
+		}
+		return lab.Run(ctx, job, emit)
+	}
+
+	attempt(1, "C OK")
+	f, err := os.OpenFile(filepath.Join(stateDir, job.ID+".journal"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"workflow":"cv","task":"D","sta`) // killed mid-checkpoint
+	f.Close()
+	attempt(2, "D running")
+	events = nil
+	res, err := attempt(3, "")
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	var result CVResult
+	if err := json.Unmarshal(res, &result); err != nil || result.SHA256 == "" {
+		t.Fatalf("second resume result %s (%v)", res, err)
+	}
+	if !strings.Contains(strings.Join(events, "\n"), "resumed: 3 completed task(s)") {
+		t.Fatalf("second resume did not restore A–C:\n%s", strings.Join(events, "\n"))
+	}
+	auditData, err := os.ReadFile(filepath.Join(labDir, core.AuditFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := core.ParseAuditJournal(auditData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills := 0
+	for _, e := range entries {
+		if e.Method == "DispenseSyringePump" {
+			fills++
+		}
+	}
+	if fills != 1 {
+		t.Fatalf("audit shows %d fills across three attempts, want 1", fills)
 	}
 }

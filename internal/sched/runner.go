@@ -1,13 +1,11 @@
 package sched
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -16,6 +14,7 @@ import (
 	"ice/internal/core"
 	"ice/internal/dag"
 	"ice/internal/datachan"
+	"ice/internal/jsonl"
 	"ice/internal/ml"
 	"ice/internal/pyro"
 	"ice/internal/telemetry"
@@ -276,16 +275,26 @@ func (r *LabRunner) Run(ctx context.Context, job Job, emit func(string, string))
 	}
 }
 
-// journalPath names the job's workflow checkpoint journal.
-func (r *LabRunner) journalPath(jobID string) string {
-	return filepath.Join(r.Dir, jobID+".journal")
+// openJournal opens the job's workflow checkpoint journal behind a
+// tee, cutting off a record a crash left torn, and returns the records
+// a resumed attempt restores from (none on a first attempt).
+func (r *LabRunner) openJournal(job Job, emit func(string, string)) (*journalTee, []workflow.TaskRecord, error) {
+	var records []workflow.TaskRecord
+	file, err := jsonl.Open(filepath.Join(r.Dir, job.ID+".journal"), jsonl.Collect(&records))
+	if err != nil {
+		return nil, nil, fmt.Errorf("open journal: %w", err)
+	}
+	if !job.Resumed && job.Attempts <= 1 {
+		records = nil
+	}
+	return &journalTee{file: file, jobID: job.ID, emit: emit, onTask: r.OnTask, mirror: r.MirrorJournal}, records, nil
 }
 
 // journalTee forwards every checkpoint line to the underlying journal
 // file and mirrors it into the job's event stream (and the OnTask
 // crash seam), synchronously with the workflow engine.
 type journalTee struct {
-	file   *core.AppendFile
+	file   *jsonl.Log
 	jobID  string
 	emit   func(string, string)
 	onTask func(string, workflow.TaskRecord)
@@ -380,26 +389,15 @@ func (r *LabRunner) runCV(ctx context.Context, job Job, emit func(string, string
 
 	// Crash recovery: restore completed tasks from the journal the
 	// previous daemon incarnation checkpointed.
-	if job.Resumed || job.Attempts > 1 {
-		if data, err := os.ReadFile(r.journalPath(job.ID)); err == nil {
-			records, err := workflow.ReadJournal(bytes.NewReader(data))
-			if err != nil {
-				return nil, fmt.Errorf("parse journal: %w", err)
-			}
-			if n := nb.Restore(records); n > 0 {
-				emit("resumed", fmt.Sprintf("%d completed task(s) restored from checkpoint journal", n))
-			}
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("read journal: %w", err)
-		}
-	}
-
-	journal, err := core.OpenAppendFile(r.Dir, job.ID+".journal")
+	tee, records, err := r.openJournal(job, emit)
 	if err != nil {
-		return nil, fmt.Errorf("open journal: %w", err)
+		return nil, err
 	}
-	defer journal.Close()
-	nb.SetJournal(&journalTee{file: journal, jobID: job.ID, emit: emit, onTask: r.OnTask, mirror: r.MirrorJournal})
+	defer tee.file.Close()
+	if n := nb.Restore(records); n > 0 {
+		emit("resumed", fmt.Sprintf("%d completed task(s) restored from checkpoint journal", n))
+	}
+	nb.SetJournal(tee)
 
 	gate.Lock()
 	if err := ctx.Err(); err != nil {
@@ -462,25 +460,11 @@ func (r *LabRunner) runDAG(ctx context.Context, job Job, emit func(string, strin
 
 	// Crash recovery: replay the per-node checkpoints the previous
 	// daemon incarnation journaled.
-	var restored []workflow.TaskRecord
-	if job.Resumed || job.Attempts > 1 {
-		if data, err := os.ReadFile(r.journalPath(job.ID)); err == nil {
-			records, err := workflow.ReadJournal(bytes.NewReader(data))
-			if err != nil {
-				return nil, fmt.Errorf("parse journal: %w", err)
-			}
-			restored = records
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("read journal: %w", err)
-		}
-	}
-
-	journal, err := core.OpenAppendFile(r.Dir, job.ID+".journal")
+	tee, restored, err := r.openJournal(job, emit)
 	if err != nil {
-		return nil, fmt.Errorf("open journal: %w", err)
+		return nil, err
 	}
-	defer journal.Close()
-	tee := &journalTee{file: journal, jobID: job.ID, emit: emit, onTask: r.OnTask, mirror: r.MirrorJournal}
+	defer tee.file.Close()
 
 	gate := &InstrumentGate{
 		M:         r.Leases,

@@ -65,10 +65,6 @@ type Config struct {
 	// collision-free fleet-wide and any gateway can route a status
 	// query from the ID alone.
 	IDPrefix string
-	// WALCommitWindow widens WAL group-commit batches: each fsync
-	// waits this long for more records. Zero fsyncs immediately (still
-	// batching whatever arrived while the previous fsync ran).
-	WALCommitWindow time.Duration
 	// WALMirror, when set, replicates every WAL record to the
 	// cluster's peer(s): it runs after the record is durable locally
 	// and before the append is acknowledged.
@@ -179,7 +175,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal.SetCommitWindow(cfg.WALCommitWindow)
 	wal.SetMirror(cfg.WALMirror)
 	s := &Scheduler{
 		cfg:     cfg,

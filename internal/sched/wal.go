@@ -1,8 +1,8 @@
 package sched
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,7 +11,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"ice/internal/jsonl"
 )
 
 // WALFileName is the job store's file inside the gateway's state
@@ -64,68 +67,39 @@ type WALStats struct {
 	Syncs int64
 }
 
-// walBatch is one group-commit unit: the concatenated JSON lines of
-// every record that joined while the previous batch was on its way to
-// disk (or during the commit window), flushed with a single fsync.
-type walBatch struct {
-	buf  []byte
-	done chan struct{}
-	err  error
-	// leader marks that an appender has taken responsibility for
-	// flushing this batch; later arrivals just wait on done.
-	leader bool
-}
-
 // WAL is the append-only, fsynced job journal. Every Append survives
 // a kill -9 of the daemon; OpenWAL replays what the previous
 // incarnation had admitted.
 //
-// Appends are group-committed: the first appender of a batch becomes
-// its leader, waits out the (optional) commit window, and flushes the
-// batch with one write+fsync while followers block on the batch's
-// done channel. While a flush is in flight, new appenders form the
-// next batch — so under concurrency one fsync serves many records,
-// without weakening durability: Append still returns only after the
-// record's batch is on disk (and, when a mirror is attached, after
-// the mirror has acknowledged it).
+// The file is a jsonl.Log, so appends are group-committed: one fsync
+// serves every record that arrived while the previous one ran, and
+// Append still returns only after its record is on disk (and, when a
+// mirror is attached, after the mirror has acknowledged it). Records
+// can land out of Seq order; FoldWALRecords sorts them.
 type WAL struct {
-	// fileMu serialises batch flushes in batch-creation order; a new
-	// batch can only form after the previous one detached, and its
-	// leader cannot write until the previous flush finished.
-	fileMu sync.Mutex
+	log *jsonl.Log
 
 	mu     sync.Mutex
-	f      *os.File
-	cur    *walBatch
 	seq    uint64
 	term   uint64
-	window time.Duration
 	mirror func(WALRecord) error
-	stats  WALStats
+
+	appends atomic.Int64
 }
 
 // OpenWAL opens (creating if needed) the job store under dir and
 // replays its records into the last-known state of every job, in
-// first-submission order.
+// first-submission order. A torn final record is cut off the file.
 func OpenWAL(dir string) (*WAL, []*Job, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("sched: wal dir: %w", err)
 	}
 	var recs []WALRecord
-	if f, err := os.Open(filepath.Join(dir, WALFileName)); err == nil {
-		recs, err = ReadWALRecords(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if !os.IsNotExist(err) {
+	file, err := jsonl.Open(filepath.Join(dir, WALFileName), decodeWALRecord(&recs))
+	if err != nil {
 		return nil, nil, fmt.Errorf("sched: open wal: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, WALFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sched: append wal: %w", err)
-	}
-	w := &WAL{f: f}
+	w := &WAL{log: file}
 	for _, rec := range recs {
 		if rec.Seq > w.seq {
 			w.seq = rec.Seq
@@ -135,16 +109,6 @@ func OpenWAL(dir string) (*WAL, []*Job, error) {
 		}
 	}
 	return w, FoldWALRecords(recs), nil
-}
-
-// SetCommitWindow widens group-commit batches: a batch leader waits
-// this long for more records before flushing. Zero (the default)
-// flushes immediately — batching still happens naturally while a
-// previous flush is in flight.
-func (w *WAL) SetCommitWindow(d time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.window = d
 }
 
 // SetTerm stamps subsequent records with the given leadership term.
@@ -182,9 +146,7 @@ func (w *WAL) SetMirror(mirror func(WALRecord) error) {
 
 // Stats returns append/fsync counters.
 func (w *WAL) Stats() WALStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
+	return WALStats{Appends: w.appends.Load(), Syncs: w.log.Syncs()}
 }
 
 // Append writes one record, returning after it is fsynced (as part of
@@ -194,10 +156,6 @@ func (w *WAL) Append(rec WALRecord) error {
 		rec.TimeUnixNano = time.Now().UnixNano()
 	}
 	w.mu.Lock()
-	if w.f == nil {
-		w.mu.Unlock()
-		return fmt.Errorf("sched: wal closed")
-	}
 	w.seq++
 	rec.Seq = w.seq
 	if rec.Term == 0 {
@@ -210,31 +168,12 @@ func (w *WAL) Append(rec WALRecord) error {
 		w.mu.Unlock()
 		return fmt.Errorf("sched: encode wal record: %w", err)
 	}
-	if w.cur == nil {
-		w.cur = &walBatch{done: make(chan struct{})}
-	}
-	b := w.cur
-	b.buf = append(b.buf, line...)
-	b.buf = append(b.buf, '\n')
-	lead := !b.leader
-	b.leader = true
-	window := w.window
 	w.mu.Unlock()
 
-	if lead {
-		if window > 0 {
-			time.Sleep(window)
-		}
-		w.flushBatch(b)
-	} else {
-		<-b.done
+	if _, err := w.log.Write(append(line, '\n')); err != nil {
+		return fmt.Errorf("sched: append wal: %w", err)
 	}
-	if b.err != nil {
-		return fmt.Errorf("sched: append wal: %w", b.err)
-	}
-	w.mu.Lock()
-	w.stats.Appends++
-	w.mu.Unlock()
+	w.appends.Add(1)
 	if mirror != nil {
 		if err := mirror(rec); err != nil {
 			return fmt.Errorf("sched: mirror wal record: %w", err)
@@ -243,103 +182,36 @@ func (w *WAL) Append(rec WALRecord) error {
 	return nil
 }
 
-// flushBatch detaches b (if still current) and commits it with one
-// write+fsync. fileMu guarantees batches hit the file in creation
-// order.
-func (w *WAL) flushBatch(b *walBatch) {
-	w.fileMu.Lock()
-	defer w.fileMu.Unlock()
-	w.mu.Lock()
-	if w.cur == b {
-		w.cur = nil
-	}
-	f := w.f
-	w.mu.Unlock()
-	select {
-	case <-b.done:
-		return // already flushed (by Close)
-	default:
-	}
-	if f == nil {
-		b.err = fmt.Errorf("wal closed")
-	} else {
-		if _, err := f.Write(b.buf); err != nil {
-			b.err = err
-		} else if err := f.Sync(); err != nil {
-			b.err = err
-		}
-		w.mu.Lock()
-		w.stats.Syncs++
-		w.mu.Unlock()
-	}
-	close(b.done)
-}
-
 // Close flushes any pending batch and releases the journal file.
 func (w *WAL) Close() error {
-	w.fileMu.Lock()
-	w.mu.Lock()
-	b := w.cur
-	w.cur = nil
-	f := w.f
-	w.f = nil
-	w.mu.Unlock()
-	if b != nil && f != nil {
-		if _, err := f.Write(b.buf); err != nil {
-			b.err = err
-		} else if err := f.Sync(); err != nil {
-			b.err = err
-		}
-		w.mu.Lock()
-		w.stats.Syncs++
-		w.mu.Unlock()
-		close(b.done)
-	} else if b != nil {
-		b.err = fmt.Errorf("wal closed")
-		close(b.done)
-	}
-	w.fileMu.Unlock()
-	if f == nil {
-		return nil
-	}
-	return f.Close()
+	return w.log.Close()
 }
 
-// ReadWALRecords parses a journal into its records. A truncated
-// trailing line — the signature of a crash mid-append — is tolerated
-// and dropped; corruption anywhere else is an error, because silently
-// skipping interior records could resurrect an already-completed job.
+// ReadWALRecords parses a journal into its records under the jsonl
+// torn-tail rule: a torn final record is dropped, and corruption
+// anywhere else is an error, because silently skipping interior
+// records could resurrect an already-completed job.
 func ReadWALRecords(r io.Reader) ([]WALRecord, error) {
 	var recs []WALRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			// The bad line was not the last one: real corruption.
-			return nil, pendingErr
-		}
-		var rec WALRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			pendingErr = fmt.Errorf("sched: wal line %d: %w", line, err)
-			continue
-		}
-		if rec.Job == "" {
-			pendingErr = fmt.Errorf("sched: wal line %d: record without job id", line)
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sched: read wal: %w", err)
+	if _, err := jsonl.Read(r, decodeWALRecord(&recs)); err != nil {
+		return nil, fmt.Errorf("sched: wal: %w", err)
 	}
 	return recs, nil
+}
+
+// decodeWALRecord is the jsonl callback collecting WAL records.
+func decodeWALRecord(recs *[]WALRecord) func([]byte) error {
+	return func(line []byte) error {
+		var rec WALRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		if rec.Job == "" {
+			return errors.New("record without job id")
+		}
+		*recs = append(*recs, rec)
+		return nil
+	}
 }
 
 // ReplayWAL folds a journal into each job's latest state, in

@@ -91,6 +91,51 @@ func TestWALTruncatedTailTolerated(t *testing.T) {
 	}
 }
 
+// TestWALAppendAfterTornTail: the daemon restarted over a torn tail
+// keeps appending. The torn fragment must be cut off on open, or the
+// next record is glued onto it and the restart after that fails with
+// interior corruption, losing an acknowledged DONE.
+func TestWALAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Append(WALRecord{Job: "j-000001", Tenant: "acl", State: StatePending, Spec: walSpec("acl")})
+	w.Append(WALRecord{Job: "j-000001", State: StateRunning, Attempt: 1})
+	w.Close()
+	f, err := os.OpenFile(filepath.Join(dir, WALFileName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"job":"j-000001","state":"DO`) // kill -9 mid-write
+	f.Close()
+
+	w, jobs, err := OpenWAL(dir)
+	if err != nil || len(jobs) != 1 || jobs[0].State != StateRunning {
+		t.Fatalf("reopen over torn tail: %+v, %v", jobs, err)
+	}
+	if err := w.Append(WALRecord{Job: "j-000001", State: StateDone}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(WALRecord{Job: "j-000002", Tenant: "acl", State: StatePending, Spec: walSpec("acl")}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	w, jobs, err = OpenWAL(dir)
+	if err != nil {
+		t.Fatalf("second restart: %v", err)
+	}
+	defer w.Close()
+	if len(jobs) != 2 || jobs[0].State != StateDone || jobs[1].State != StatePending {
+		t.Fatalf("second restart replayed %+v, want j-000001 DONE and j-000002 PENDING", jobs)
+	}
+	if got := w.LastSeq(); got != 4 {
+		t.Fatalf("last seq = %d, want 4 (the torn record never had one)", got)
+	}
+}
+
 // TestWALInteriorCorruptionRejected: garbage before the last line is
 // real corruption, not a crash signature — silently skipping it could
 // resurrect a completed job, so replay must fail loudly.

@@ -1,15 +1,15 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
+
+	"ice/internal/jsonl"
 )
 
 // Exporter receives finished span records. Export must be safe for
@@ -55,46 +55,33 @@ func DecodeSpan(line []byte) (Record, error) {
 	return rec, nil
 }
 
-// ReadSpans parses a JSONL export, tolerating a truncated trailing
-// line (the crash-safety contract: a crash mid-write loses at most
-// the final record) and skipping blank lines. Any other malformed
-// line is an error.
+// ReadSpans parses a JSONL export under the jsonl torn-tail rule: a
+// crash mid-write loses at most the final record, blank lines are
+// skipped, and any other malformed line is an error.
 func ReadSpans(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
 	var recs []Record
-	var pendingErr error
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			// A bad line followed by more data is corruption, not a
-			// truncated tail.
-			return nil, pendingErr
-		}
+	_, err := jsonl.Read(r, func(line []byte) error {
 		rec, err := DecodeSpan(line)
-		if err != nil {
-			pendingErr = fmt.Errorf("span record %d: %w", len(recs)+1, err)
-			continue
+		if err == nil {
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trace: spans: %w", err)
 	}
 	return recs, nil
 }
 
 // JSONLExporter batches finished spans and appends them to a JSONL
-// file. Writes are batched for throughput but crash-safe: every flush
-// ends on a record boundary, and Flush (or the flush interval) bounds
-// how much a crash can lose. A write error poisons the exporter
-// (recorded in DroppedWrites) rather than blocking experiments.
+// file. Export only buffers; each flush — when the buffer reaches
+// 64 KiB, every flush interval, and on Flush/Close — is one fsynced
+// jsonl.Log write ending on a record boundary, so the flush interval
+// bounds how much a crash can lose. A write error drops the batch
+// (counted in Stats) rather than blocking experiments.
 type JSONLExporter struct {
 	mu       sync.Mutex
-	f        *os.File
+	log      *jsonl.Log
 	buf      []byte
 	maxBatch int
 	dropped  int64
@@ -106,16 +93,17 @@ type JSONLExporter struct {
 	flushDone  chan struct{}
 }
 
-// NewJSONLExporter opens (appending) the export file. flushEvery ≤ 0
-// disables the background flusher; batches then flush only when full
-// or on Flush/Close.
+// NewJSONLExporter opens (appending) the export file, cutting off a
+// record a crashed predecessor left torn. flushEvery ≤ 0 disables the
+// background flusher; batches then flush only when full or on
+// Flush/Close.
 func NewJSONLExporter(path string, flushEvery time.Duration) (*JSONLExporter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	file, err := jsonl.Open(path, nil)
 	if err != nil {
 		return nil, err
 	}
 	e := &JSONLExporter{
-		f:          f,
+		log:        file,
 		maxBatch:   64 * 1024,
 		flushEvery: flushEvery,
 	}
@@ -172,10 +160,10 @@ func (e *JSONLExporter) Flush() {
 }
 
 func (e *JSONLExporter) flushLocked() {
-	if len(e.buf) == 0 || e.f == nil {
+	if len(e.buf) == 0 {
 		return
 	}
-	if _, err := e.f.Write(e.buf); err != nil {
+	if _, err := e.log.Write(e.buf); err != nil {
 		e.dropped++
 	}
 	e.buf = e.buf[:0]
@@ -188,7 +176,7 @@ func (e *JSONLExporter) Stats() (exported, dropped int64) {
 	return e.exported, e.dropped
 }
 
-// Close flushes, fsyncs, and closes the file.
+// Close flushes and closes the file.
 func (e *JSONLExporter) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -203,18 +191,7 @@ func (e *JSONLExporter) Close() error {
 		close(stop)
 		<-e.flushDone
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.f == nil {
-		return nil
-	}
-	err1 := e.f.Sync()
-	err2 := e.f.Close()
-	e.f = nil
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return e.log.Close()
 }
 
 // FuncExporter adapts a function to Exporter (handy in tests).

@@ -211,6 +211,52 @@ func TestJSONLExporterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONLExporterReopenAfterCrash: a restarted daemon exporting to
+// the same path as its killed predecessor must not glue its first span
+// onto the torn record left behind.
+func TestJSONLExporterReopenAfterCrash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	export := func(names ...string) {
+		t.Helper()
+		exp, err := NewJSONLExporter(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := New(WithExporter(exp))
+		for _, name := range names {
+			tr.StartTrace("", name, ClassSched).End()
+		}
+		if err := exp.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	export("first", "second")
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"trace_id":"` + strings.Repeat("a", 32) + `","span_id":"`) // kill -9 mid-flush
+	f.Close()
+	export("third", "fourth")
+
+	f, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := ReadSpans(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range recs {
+		names = append(names, r.Name)
+	}
+	if strings.Join(names, ",") != "first,second,third,fourth" {
+		t.Fatalf("spans after restart = %v, want first..fourth", names)
+	}
+}
+
 func TestStoreBounds(t *testing.T) {
 	s := NewStore(2, 2)
 	mk := func(tid string, n int) {

@@ -8,12 +8,13 @@
 package workflow
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"time"
+
+	"ice/internal/jsonl"
 )
 
 // TaskRecord is one checkpoint journal entry: a task transition with
@@ -36,8 +37,8 @@ type TaskRecord struct {
 	DurationMS int64 `json:"duration_ms,omitempty"`
 }
 
-// SetJournal attaches an append-only writer (e.g. a core.AppendFile)
-// that receives one JSON line per task transition during Execute.
+// SetJournal attaches an append-only writer (e.g. a jsonl.Log) that
+// receives one JSON line per task transition during Execute.
 // Pass nil to detach. The writer must be safe for use from the
 // notebook's executing goroutine only; the notebook serializes writes.
 func (nb *Notebook) SetJournal(w io.Writer) {
@@ -82,34 +83,13 @@ func (nb *Notebook) journalTask(id string) {
 	}
 }
 
-// ReadJournal parses a checkpoint journal back into records. A
-// truncated trailing line — the signature of a crash mid-write — is
-// tolerated and dropped; corruption anywhere else is an error.
+// ReadJournal parses a checkpoint journal back into records under the
+// jsonl torn-tail rule: a torn final record (a crash mid-write) is
+// dropped, and corruption anywhere else is an error.
 func ReadJournal(r io.Reader) ([]TaskRecord, error) {
 	var records []TaskRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			// The bad line was not the last one: real corruption.
-			return nil, pendingErr
-		}
-		var rec TaskRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			pendingErr = fmt.Errorf("workflow: journal line %d: %w", line, err)
-			continue
-		}
-		records = append(records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workflow: read journal: %w", err)
+	if _, err := jsonl.Read(r, jsonl.Collect(&records)); err != nil {
+		return nil, fmt.Errorf("workflow: journal: %w", err)
 	}
 	return records, nil
 }
