@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-parallel bench-parallel-quick bench-wire bench-wire-quick icebench icebench-quick bench-check fuzz gateway-smoke trace-smoke cluster-smoke health-smoke dag-smoke lab-smoke
+.PHONY: all build vet test race bench bench-parallel bench-parallel-quick bench-wire bench-wire-quick icebench icebench-quick bench-check flake fuzz gateway-smoke trace-smoke cluster-smoke health-smoke dag-smoke lab-smoke
 
 all: build vet test
 
@@ -15,6 +15,14 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Packages whose tests take over 3 s; flake repeats every other package
+# twenty times in shuffled order, so an order- or timing-dependent test
+# fails here before it fails someone else's build.
+SLOW_PKGS = ice/internal/core ice/internal/sched ice/internal/campaign ice/internal/potentiostat ice/internal/microscope
+
+flake:
+	$(GO) test -count=20 -shuffle=on $$($(GO) list ./... | grep -vxF $(SLOW_PKGS:%=-e %))
 
 # Full benchmark sweep (figures + ablations + parallelism).
 bench:

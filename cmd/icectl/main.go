@@ -32,7 +32,6 @@ import (
 	"ice/internal/jsonl"
 	"ice/internal/potentiostat"
 	"ice/internal/pyro"
-	"ice/internal/units"
 	"ice/internal/workflow"
 )
 
@@ -141,6 +140,7 @@ func main() {
 	}
 	defer mount.Close()
 
+	logLine := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	switch cmd := flag.Arg(0); cmd {
 	case "status":
 		jk, err := session.JKemStatus()
@@ -155,61 +155,35 @@ func main() {
 		fmt.Println("SP200:", sp)
 
 	case "fill":
-		for _, step := range []struct {
-			label string
-			call  func() (string, error)
-		}{
-			{"set rate", func() (string, error) { return session.SetRateSyringePump(1, 5) }},
-			{"select stock port", func() (string, error) { return session.SetPortSyringePump(1, 8) }},
-			{"withdraw", func() (string, error) { return session.WithdrawSyringePump(1, *volume) }},
-			{"select cell port", func() (string, error) { return session.SetPortSyringePump(1, 1) }},
-			{"dispense", func() (string, error) { return session.DispenseSyringePump(1, *volume) }},
-		} {
-			out, err := step.call()
-			if err != nil {
-				log.Fatalf("%s: %v", step.label, err)
-			}
-			fmt.Printf("%-20s %s\n", step.label, out)
+		fill := core.PaperFillParams()
+		fill.VolumeML = *volume
+		if err := core.FillCell(ctx, session, fill, logLine); err != nil {
+			log.Fatal(err)
 		}
 
 	case "cv":
 		params := core.PaperCVParams()
 		params.RateMVs = *rate
-		for _, step := range []struct {
-			label string
-			call  func() (string, error)
-		}{
-			{"initialize", func() (string, error) { return session.CallInitializeSP200API(core.PaperSystemParams()) }},
-			{"connect", session.CallConnectSP200},
-			{"load firmware", session.CallLoadFirmwareSP200},
-			{"configure CV", func() (string, error) { return session.CallInitializeCVTechSP200(params) }},
-			{"load technique", session.CallLoadTechniqueSP200},
-			{"start channel", session.CallStartChannelSP200},
-		} {
-			out, err := step.call()
-			if err != nil {
-				log.Fatalf("%s: %v", step.label, err)
-			}
-			fmt.Printf("%-20s %s\n", step.label, out)
+		if err := core.PowerUpSP200(session, core.PaperSystemParams(), logLine); err != nil {
+			log.Fatal(err)
+		}
+		if err := core.StartCV(session, params, logLine); err != nil {
+			log.Fatal(err)
 		}
 		name, err := session.CallGetTechPathRslt()
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("measurement file:", name)
-		data, _, err := mount.WaitFor(name, 100*time.Millisecond, 10*time.Minute)
+		data, _, _, err := core.RetrieveVerified(ctx, mount, name, 100*time.Millisecond, 10*time.Minute)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mf, err := potentiostat.ParseMPT(bytes.NewReader(data))
+		records, summary, err := core.AnalyzeCV(data)
 		if err != nil {
 			log.Fatal(err)
 		}
-		e, i := analysis.FromRecords(mf.Records)
-		summary, err := analysis.AnalyzeCV(e, i, units.Celsius(25))
-		if err != nil {
-			log.Fatal(err)
-		}
+		e, i := analysis.FromRecords(records)
 		fmt.Println(analysis.ASCIIPlot(e, i, 70, 20))
 		fmt.Println(summary)
 
@@ -266,16 +240,8 @@ func main() {
 		}
 
 	case "eis":
-		for _, step := range []func() (string, error){
-			func() (string, error) { return session.CallInitializeSP200API(core.PaperSystemParams()) },
-			session.CallConnectSP200,
-			session.CallLoadFirmwareSP200,
-		} {
-			if _, err := step(); err != nil {
-				// Device may already be up from a previous command.
-				break
-			}
-		}
+		// The device may already be up from a previous command.
+		_ = core.PowerUpSP200(session, core.PaperSystemParams(), nil)
 		name, err := session.RunEIS(core.EISParams{FreqMinHz: 1, FreqMaxHz: 100_000, PointsPerDecade: 10})
 		if err != nil {
 			log.Fatal(err)

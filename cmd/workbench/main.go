@@ -140,7 +140,7 @@ func fig5(out string) error {
 func fig6(out string) error {
 	return deployed(func(dep *core.Deployment, session *core.RemoteSession, _ *datachan.Mount) error {
 		// Fill first so the run is normal.
-		if err := fillCell(session); err != nil {
+		if err := core.FillCell(context.Background(), session, core.PaperFillParams(), nil); err != nil {
 			return err
 		}
 		var b strings.Builder
@@ -319,16 +319,10 @@ func kineticsMap(out string) error {
 // artifact.
 func eisNyquist(out string) error {
 	return deployed(func(dep *core.Deployment, session *core.RemoteSession, m *datachan.Mount) error {
-		if err := fillCell(session); err != nil {
+		if err := core.FillCell(context.Background(), session, core.PaperFillParams(), nil); err != nil {
 			return err
 		}
-		if _, err := session.CallInitializeSP200API(core.PaperSystemParams()); err != nil {
-			return err
-		}
-		if _, err := session.CallConnectSP200(); err != nil {
-			return err
-		}
-		if _, err := session.CallLoadFirmwareSP200(); err != nil {
+		if err := core.PowerUpSP200(session, core.PaperSystemParams(), nil); err != nil {
 			return err
 		}
 		name, err := session.RunEIS(core.EISParams{FreqMinHz: 0.1, FreqMaxHz: 1_000_000, PointsPerDecade: 10})
@@ -364,19 +358,4 @@ func eisNyquist(out string) error {
 		}
 		return os.WriteFile(filepath.Join(out, "eis_nyquist.txt"), []byte(plot), 0o644)
 	})
-}
-
-// fillCell performs the standard fill sequence.
-func fillCell(session *core.RemoteSession) error {
-	for _, step := range []func() (string, error){
-		func() (string, error) { return session.SetPortSyringePump(1, 8) },
-		func() (string, error) { return session.WithdrawSyringePump(1, 6.0) },
-		func() (string, error) { return session.SetPortSyringePump(1, 1) },
-		func() (string, error) { return session.DispenseSyringePump(1, 6.0) },
-	} {
-		if _, err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

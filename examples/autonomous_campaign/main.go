@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -63,41 +64,24 @@ func main() {
 
 		// Bring the potentiostat up (first round) or reuse it.
 		if round == 0 {
-			if _, err := session.CallInitializeSP200API(core.PaperSystemParams()); err != nil {
-				log.Fatal(err)
-			}
-			if _, err := session.CallConnectSP200(); err != nil {
-				log.Fatal(err)
-			}
-			if _, err := session.CallLoadFirmwareSP200(); err != nil {
+			if err := core.PowerUpSP200(session.RemoteSession, core.PaperSystemParams(), nil); err != nil {
 				log.Fatal(err)
 			}
 		}
 		params := core.PaperCVParams()
 		params.Points = 800
-		if _, err := session.CallInitializeCVTechSP200(params); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := session.CallLoadTechniqueSP200(); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := session.CallStartChannelSP200(); err != nil {
+		if err := core.StartCV(session.RemoteSession, params, nil); err != nil {
 			log.Fatal(err)
 		}
 		name, err := session.CallGetTechPathRslt()
 		if err != nil {
 			log.Fatal(err)
 		}
-		data, _, err := mount.WaitFor(name, 10*time.Millisecond, time.Minute)
+		data, _, _, err := core.RetrieveVerified(context.Background(), mount, name, 10*time.Millisecond, time.Minute)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mf, err := potentiostat.ParseMPT(bytes.NewReader(data))
-		if err != nil {
-			log.Fatal(err)
-		}
-		e, i := analysis.FromRecords(mf.Records)
-		s, err := analysis.AnalyzeCV(e, i, units.Celsius(25))
+		_, s, err := core.AnalyzeCV(data)
 		if err != nil {
 			log.Fatal(err)
 		}

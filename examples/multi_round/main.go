@@ -7,7 +7,7 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -17,7 +17,6 @@ import (
 	"ice/internal/analysis"
 	"ice/internal/core"
 	"ice/internal/netsim"
-	"ice/internal/potentiostat"
 	"ice/internal/units"
 )
 
@@ -40,25 +39,11 @@ func main() {
 	defer session.Close()
 	defer mount.Close()
 
-	// Round 0: fill the cell once.
-	for _, step := range []func() (string, error){
-		func() (string, error) { return session.SetRateSyringePump(1, 5) },
-		func() (string, error) { return session.SetPortSyringePump(1, 8) },
-		func() (string, error) { return session.WithdrawSyringePump(1, 6) },
-		func() (string, error) { return session.SetPortSyringePump(1, 1) },
-		func() (string, error) { return session.DispenseSyringePump(1, 6) },
-	} {
-		if _, err := step(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := session.CallInitializeSP200API(core.PaperSystemParams()); err != nil {
+	// Round 0: fill the cell once and power the potentiostat up.
+	if err := core.FillCell(context.Background(), session, core.PaperFillParams(), nil); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := session.CallConnectSP200(); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := session.CallLoadFirmwareSP200(); err != nil {
+	if err := core.PowerUpSP200(session, core.PaperSystemParams(), nil); err != nil {
 		log.Fatal(err)
 	}
 
@@ -70,29 +55,18 @@ func main() {
 		params := core.PaperCVParams()
 		params.RateMVs = mv
 		params.Points = 800
-		if _, err := session.CallInitializeCVTechSP200(params); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := session.CallLoadTechniqueSP200(); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := session.CallStartChannelSP200(); err != nil {
+		if err := core.StartCV(session, params, nil); err != nil {
 			log.Fatal(err)
 		}
 		name, err := session.CallGetTechPathRslt()
 		if err != nil {
 			log.Fatal(err)
 		}
-		data, _, err := mount.WaitFor(name, 10*time.Millisecond, time.Minute)
+		data, _, _, err := core.RetrieveVerified(context.Background(), mount, name, 10*time.Millisecond, time.Minute)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mf, err := potentiostat.ParseMPT(bytes.NewReader(data))
-		if err != nil {
-			log.Fatal(err)
-		}
-		e, i := analysis.FromRecords(mf.Records)
-		s, err := analysis.AnalyzeCV(e, i, units.Celsius(25))
+		_, s, err := core.AnalyzeCV(data)
 		if err != nil {
 			log.Fatal(err)
 		}

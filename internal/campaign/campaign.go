@@ -9,12 +9,10 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ice/internal/analysis"
@@ -48,13 +46,6 @@ type Observation struct {
 	Peak units.Current
 	// Summary is the full remote analysis.
 	Summary *analysis.CVSummary
-	// Streamed reports that this round's bytes arrived by tailing the
-	// measurement file during acquisition instead of a post-hoc
-	// retrieval (see Executor.StreamAnalysis).
-	Streamed bool
-	// StreamEvals counts the provisional online verdicts produced while
-	// the instrument was still acquiring (0 without a Classifier).
-	StreamEvals int
 	// Classified, Class and ClassName carry the normality verdict when
 	// the executor has a Classifier.
 	Classified bool
@@ -108,15 +99,10 @@ type Executor struct {
 	// shared potentiostat stranded mid-pipeline by another tenant and
 	// has to force it back to power-on state.
 	Metrics *telemetry.Collector
-	// StreamAnalysis tails each round's measurement file over the data
-	// channel while the SP200 is still acquiring, so the round's data
-	// phase overlaps its own instrument phase (not just the next
-	// round's, which the InstrumentGate already arranges). Any stream
-	// failure silently falls back to the classic verified retrieval.
-	StreamAnalysis bool
-	// Classifier, when set with StreamAnalysis, runs the online
-	// normality ensemble over the streamed records and records the
-	// verdict in each Observation.
+	// Classifier, when set, runs the normality ensemble over each
+	// round's records and records the verdict in its Observation. A
+	// round whose curve cannot be classified is still a round: the
+	// verdict is left unset.
 	Classifier *ml.Ensemble
 }
 
@@ -197,71 +183,14 @@ func (e *Executor) runRound(ctx context.Context, round int, params Params, point
 	}
 	defer func() { span.EndErr(err) }()
 	obs := &Observation{Round: round, Params: params}
-	name, rs, err := e.acquireRound(ctx, obs, params, points, volumeML)
-	if rs != nil {
-		defer rs.cancel()
-	}
+	name, err := e.acquireRound(ctx, obs, params, points, volumeML)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.retrieveRound(ctx, obs, name, rs); err != nil {
+	if err := e.retrieveRound(ctx, obs, name); err != nil {
 		return nil, err
 	}
 	return obs, nil
-}
-
-// roundStream is one round's in-flight streaming retrieval, launched
-// during acquisition and harvested by retrieveRound.
-type roundStream struct {
-	done        chan struct{}
-	cancel      context.CancelFunc
-	acquireDone atomic.Bool
-	online      *ml.OnlineClassifier
-	data        []byte
-	res         datachan.StreamResult
-	err         error
-}
-
-// startStream tails the named measurement file concurrently with the
-// blocking GetTechPathRslt call. The retrieve span it opens runs in
-// parallel with the campaign.acquire instrument span, so the
-// critical-path analyzer attributes the round's data phase to its own
-// instrument hold.
-func (e *Executor) startStream(ctx context.Context, name string) *roundStream {
-	sctx, cancel := context.WithCancel(ctx)
-	rs := &roundStream{done: make(chan struct{}), cancel: cancel}
-	parser := &potentiostat.StreamParser{}
-	if e.Classifier != nil {
-		rs.online = &ml.OnlineClassifier{Classifier: e.Classifier}
-	}
-	go func() {
-		defer close(rs.done)
-		var err error
-		_, span := e.phase(ctx, "campaign.retrieve", trace.ClassData)
-		span.SetAttr("file", name)
-		span.SetAttr("mode", "stream")
-		defer func() { span.EndErr(err) }()
-		rs.data, rs.res, err = datachan.StreamFile(sctx, e.Mount, name, datachan.StreamOptions{
-			OnChunk: func(chunk []byte) {
-				if chunk == nil { // authoritative refetch: restart consumers
-					parser.Reset()
-					if rs.online != nil {
-						rs.online.Reset()
-					}
-					return
-				}
-				recs, ferr := parser.Feed(chunk)
-				if ferr != nil || rs.online == nil || len(recs) == 0 {
-					return
-				}
-				pot, cur := analysis.FromRecords(recs)
-				rs.online.Add(pot, cur)
-			},
-			Finished: rs.acquireDone.Load,
-		})
-		rs.err = err
-	}()
-	return rs
 }
 
 // acquireRound is the physical phase of a round — everything that
@@ -270,7 +199,7 @@ func (e *Executor) startStream(ctx context.Context, name string) *roundStream {
 // acquisition has finished streaming to the agent's disk, so when this
 // returns the lab is free for the next campaign even though this
 // round's data has not yet crossed the WAN.
-func (e *Executor) acquireRound(ctx context.Context, obs *Observation, params Params, points int, volumeML float64) (name string, rs *roundStream, err error) {
+func (e *Executor) acquireRound(ctx context.Context, obs *Observation, params Params, points int, volumeML float64) (name string, err error) {
 	if e.InstrumentGate != nil {
 		e.InstrumentGate.Lock()
 		defer e.InstrumentGate.Unlock()
@@ -285,19 +214,19 @@ func (e *Executor) acquireRound(ctx context.Context, obs *Observation, params Pa
 	// The gate wait can be long in a busy fleet; honor cancellation
 	// before touching the cell.
 	if err := ctx.Err(); err != nil {
-		return "", nil, err
+		return "", err
 	}
 
 	if params.ConcentrationMM > 0 {
 		if _, err := e.Session.DrainCell(); err != nil {
-			return "", nil, fmt.Errorf("drain: %w", err)
+			return "", fmt.Errorf("drain: %w", err)
 		}
 		batch, err := e.Session.SynthesizeFerrocene(params.ConcentrationMM, volumeML)
 		if err != nil {
-			return "", nil, fmt.Errorf("synthesis: %w", err)
+			return "", fmt.Errorf("synthesis: %w", err)
 		}
 		if _, err := e.Session.TransferBatchToCell(batch.ID); err != nil {
-			return "", nil, fmt.Errorf("transfer: %w", err)
+			return "", fmt.Errorf("transfer: %w", err)
 		}
 		obs.AchievedMM = batch.AchievedMM
 	}
@@ -307,7 +236,7 @@ func (e *Executor) acquireRound(ctx context.Context, obs *Observation, params Pa
 	// torn it down (a cv workflow's shutdown task) or crashed partway
 	// through the pipeline.
 	if err := e.bringUp(acqCtx); err != nil {
-		return "", nil, err
+		return "", err
 	}
 
 	cv := core.PaperCVParams()
@@ -315,27 +244,10 @@ func (e *Executor) acquireRound(ctx context.Context, obs *Observation, params Pa
 		cv.RateMVs = params.ScanRateMVs
 	}
 	cv.Points = points
-	if _, err := e.Session.CallInitializeCVTechSP200(cv); err != nil {
-		return "", nil, err
+	if err := core.StartCV(e.Session.RemoteSession, cv, nil); err != nil {
+		return "", err
 	}
-	if _, err := e.Session.CallLoadTechniqueSP200(); err != nil {
-		return "", nil, err
-	}
-	if _, err := e.Session.CallStartChannelSP200(); err != nil {
-		return "", nil, err
-	}
-	if e.StreamAnalysis {
-		// A failed name lookup is not fatal: the round just retrieves
-		// classically, exactly as if streaming were off.
-		if fn, ferr := e.Session.CallGetTechFileName(); ferr == nil && fn != "" {
-			rs = e.startStream(ctx, fn)
-		}
-	}
-	name, err = e.Session.CallGetTechPathRslt()
-	if rs != nil {
-		rs.acquireDone.Store(true)
-	}
-	return name, rs, err
+	return e.Session.CallGetTechPathRslt()
 }
 
 // bringUp walks the SP200 through Initialize→Connect→LoadFirmware. In
@@ -364,50 +276,13 @@ func (e *Executor) bringUp(ctx context.Context) error {
 			}
 		}
 	}
-	if _, err := e.Session.CallInitializeSP200API(core.PaperSystemParams()); err != nil {
-		return err
-	}
-	if _, err := e.Session.CallConnectSP200(); err != nil {
-		return err
-	}
-	if _, err := e.Session.CallLoadFirmwareSP200(); err != nil {
-		return err
-	}
-	return nil
+	return core.PowerUpSP200(e.Session.RemoteSession, core.PaperSystemParams(), nil)
 }
 
 // retrieveRound is the data phase of a round: pull the measurement
-// file across the WAN (digest-verified) and analyze it. It runs
-// outside the instrument gate. When a stream was launched during
-// acquisition its bytes are harvested instead — they carry the same
-// SHA-256 guarantee — and any stream failure falls back to the
-// classic retrieval below.
-func (e *Executor) retrieveRound(ctx context.Context, obs *Observation, name string, rs *roundStream) error {
-	if rs != nil {
-		harvest := func() ([]byte, bool) {
-			timer := time.NewTimer(2 * time.Minute)
-			defer timer.Stop()
-			select {
-			case <-rs.done:
-			case <-timer.C:
-				rs.cancel()
-				<-rs.done
-			}
-			if rs.err != nil {
-				return nil, false
-			}
-			return rs.data, true
-		}
-		if data, ok := harvest(); ok {
-			obs.Streamed = true
-			if rs.online != nil {
-				obs.StreamEvals = rs.online.Evals()
-			}
-			return e.analyzeRound(ctx, obs, data)
-		}
-		trace.SpanFromContext(ctx).Event("campaign.stream_fallback",
-			"file", name, "err", fmt.Sprint(rs.err))
-	}
+// file across the WAN, digest-verified, and analyze it. It runs outside
+// the instrument gate.
+func (e *Executor) retrieveRound(ctx context.Context, obs *Observation, name string) error {
 	data, err := func() (data []byte, err error) {
 		retrCtx, span := e.phase(ctx, "campaign.retrieve", trace.ClassData)
 		span.SetAttr("file", name)
@@ -416,9 +291,9 @@ func (e *Executor) retrieveRound(ctx context.Context, obs *Observation, name str
 			binder.SetSpan(span)
 			defer binder.SetSpan(nil)
 		}
-		waitCtx, cancel := context.WithTimeout(retrCtx, 2*time.Minute)
-		defer cancel()
-		data, _, err = e.Mount.WaitForContext(waitCtx, name, 10*time.Millisecond)
+		// A campaign polls the share every 10 ms; the wait keeps the
+		// default 2 min bound.
+		data, _, _, err = core.RetrieveVerified(retrCtx, e.Mount, name, 10*time.Millisecond, 0)
 		return data, err
 	}()
 	if err != nil {
@@ -429,34 +304,19 @@ func (e *Executor) retrieveRound(ctx context.Context, obs *Observation, name str
 
 // analyzeRound parses and analyzes a round's verified bytes, filling
 // in the observation's summary and, with a Classifier, its verdict.
-// The offline parse is authoritative for both paths: the streamed and
-// classic retrievals hand over byte-identical, digest-verified data.
-func (e *Executor) analyzeRound(ctx context.Context, obs *Observation, data []byte) error {
-	summary, err := func() (s *analysis.CVSummary, err error) {
-		_, span := e.phase(ctx, "campaign.analyze", trace.ClassAnalysis)
-		if obs.Streamed {
-			span.SetAttr("mode", "stream-final")
-		}
-		defer func() { span.EndErr(err) }()
-		mf, err := potentiostat.ParseMPT(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		pot, cur := analysis.FromRecords(mf.Records)
-		if e.Classifier != nil {
-			feats, ferr := ml.Features(pot, cur)
-			if ferr == nil {
-				if class, perr := e.Classifier.Predict(feats); perr == nil {
-					obs.Classified = true
-					obs.Class = class
-					obs.ClassName = ml.ClassName(class)
-				}
-			}
-		}
-		return analysis.AnalyzeCV(pot, cur, units.Celsius(25))
-	}()
+func (e *Executor) analyzeRound(ctx context.Context, obs *Observation, data []byte) (err error) {
+	_, span := e.phase(ctx, "campaign.analyze", trace.ClassAnalysis)
+	defer func() { span.EndErr(err) }()
+	records, summary, err := core.AnalyzeCV(data)
 	if err != nil {
 		return err
+	}
+	if e.Classifier != nil {
+		if class, err := core.ClassifyCV(e.Classifier, records); err == nil {
+			obs.Classified = true
+			obs.Class = class
+			obs.ClassName = ml.ClassName(class)
+		}
 	}
 	obs.Peak = summary.AnodicPeak
 	obs.Summary = summary

@@ -185,10 +185,10 @@ func TestHealthyBringUpCountsNoStrandedResets(t *testing.T) {
 	}
 }
 
-// TestCampaignStreamingRounds runs a two-round ladder with streaming
-// retrieval and an online classifier: every round must stream, agree
-// with the classic analysis, and carry a normality verdict.
-func TestCampaignStreamingRounds(t *testing.T) {
+// TestCampaignClassifiedRounds runs a two-round ladder with a
+// classifier: every round must carry a normality verdict next to its
+// analysis.
+func TestCampaignClassifiedRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a classifier")
 	}
@@ -201,7 +201,6 @@ func TestCampaignStreamingRounds(t *testing.T) {
 	}
 
 	e := deployExecutor(t)
-	e.StreamAnalysis = true
 	e.Classifier = clf
 	history, err := e.Run(ScanRateLadder{
 		RatesMVs:        []float64{50, 200},
@@ -214,18 +213,11 @@ func TestCampaignStreamingRounds(t *testing.T) {
 		t.Fatalf("rounds = %d", len(history))
 	}
 	for _, obs := range history {
-		if !obs.Streamed {
-			t.Errorf("round %d did not stream", obs.Round)
-		}
 		if !obs.Classified || obs.Class != ml.ClassNormal {
 			t.Errorf("round %d verdict = %q (classified=%v), want normal", obs.Round, obs.ClassName, obs.Classified)
 		}
 		if obs.Summary == nil || !obs.Summary.Reversible {
 			t.Errorf("round %d analysis missing or irreversible", obs.Round)
 		}
-	}
-	ratio := history[1].Peak.Amperes() / history[0].Peak.Amperes()
-	if math.Abs(ratio-2) > 0.15 {
-		t.Errorf("peak ratio = %v, want ≈ 2 (streamed bytes must match classic)", ratio)
 	}
 }

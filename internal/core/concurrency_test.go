@@ -395,37 +395,6 @@ func TestRemoteAbortDuringAcquisition(t *testing.T) {
 	}
 }
 
-// TestWorkflowProgressNarration runs a paced workflow with progress
-// polling and checks the transcript carries live growth lines.
-func TestWorkflowProgressNarration(t *testing.T) {
-	d, err := Deploy(t.TempDir(), 0.02) // 30 s CV → 600 ms wall
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	session, mount, err := d.ConnectFrom(netsim.HostDGX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer session.Close()
-	defer mount.Close()
-
-	cfg := PaperCVWorkflowConfig()
-	cfg.CV.Points = 1200
-	cfg.ProgressPoll = 40 * time.Millisecond
-	nb, outcome := BuildCVWorkflow(session, mount, cfg)
-	if err := nb.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tr := strings.Join(nb.Transcript(), "\n")
-	if !strings.Contains(tr, "… acquiring:") {
-		t.Errorf("transcript has no progress narration:\n%s", tr)
-	}
-	if len(outcome.Records) != 1201 {
-		t.Errorf("records = %d", len(outcome.Records))
-	}
-}
-
 // TestRemoteTemperatureChangesChemistry couples the J-Kem temperature
 // controller to the electrochemistry: heating the cell via the remote
 // API widens the reversible peak separation (ΔEp ∝ T).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -16,7 +15,6 @@ import (
 	"ice/internal/ml"
 	"ice/internal/potentiostat"
 	"ice/internal/trace"
-	"ice/internal/units"
 	"ice/internal/workflow"
 )
 
@@ -46,10 +44,6 @@ type CVWorkflowConfig struct {
 	// timeout or lease TTL. The scheduler treats a fired acquire
 	// budget as hard evidence the instrument is sick.
 	AcquireTimeout time.Duration
-	// ProgressPoll, when > 0, logs the measurement file's growth into
-	// the transcript while acquisition is in flight (real-time
-	// monitoring over the pipelined control/data channels).
-	ProgressPoll time.Duration
 	// OnMeasured, when set, is called inside task D the moment
 	// call_Get_Tech_Path_Rslt returns — acquisition has finished
 	// streaming to the agent's disk and the instruments are free, but
@@ -81,9 +75,6 @@ type CVWorkflowConfig struct {
 	// falls back to the classic retrieve-then-analyze sequence, so the
 	// outcome is never weaker than with streaming off.
 	StreamAnalysis bool
-	// StreamPoll is the streaming tail-read poll interval (default
-	// WaitPoll).
-	StreamPoll time.Duration
 }
 
 // PaperCVWorkflowConfig returns the demonstration parameters.
@@ -93,8 +84,8 @@ func PaperCVWorkflowConfig() CVWorkflowConfig {
 		System:      PaperSystemParams(),
 		CV:          PaperCVParams(),
 		GasSCCM:     20,
-		WaitPoll:    20 * time.Millisecond,
-		WaitTimeout: 2 * time.Minute,
+		WaitPoll:    defaultWaitPoll,
+		WaitTimeout: defaultWaitTimeout,
 	}
 }
 
@@ -146,10 +137,10 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 	nb := workflow.New("electrochemical-cv")
 	outcome := &CVOutcome{}
 	if cfg.WaitPoll <= 0 {
-		cfg.WaitPoll = 20 * time.Millisecond
+		cfg.WaitPoll = defaultWaitPoll
 	}
 	if cfg.WaitTimeout <= 0 {
-		cfg.WaitTimeout = 2 * time.Minute
+		cfg.WaitTimeout = defaultWaitTimeout
 	}
 
 	// phase opens a classed sub-span under the running task's span,
@@ -208,23 +199,8 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 			fillCtx, fillSpan := phase(c, "cv.fill", trace.ClassInstrument)
 			session.BindTraceContext(fillCtx)
 			defer func() { fillSpan.EndErr(err) }()
-			f := cfg.Fill
-			steps := []struct {
-				label string
-				call  func() (string, error)
-			}{
-				{"Set_Rate_SyringePump", func() (string, error) { return session.SetRateSyringePump(f.PumpAddr, f.RateMLMin) }},
-				{"Set_Port_SyringePump", func() (string, error) { return session.SetPortSyringePump(f.PumpAddr, f.StockPort) }},
-				{"Withdraw_SyringePump", func() (string, error) { return session.WithdrawSyringePump(f.PumpAddr, f.VolumeML) }},
-				{"Set_Port_SyringePump", func() (string, error) { return session.SetPortSyringePump(f.PumpAddr, f.CellPort) }},
-				{"Dispense_SyringePump", func() (string, error) { return session.DispenseSyringePump(f.PumpAddr, f.VolumeML) }},
-			}
-			for _, s := range steps {
-				out, err := s.call()
-				if err != nil {
-					return "", fmt.Errorf("%s: %w", s.label, err)
-				}
-				c.Logf("%s\n%s", s.label, out)
+			if err := FillCell(fillCtx, session, cfg.Fill, c.Logf); err != nil {
+				return "", err
 			}
 			return "OK", nil
 		},
@@ -271,23 +247,11 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 			// call in the pipeline, including the blocking step-7 wait.
 			session.BindCallContext(acquireCtx)
 			fileName, err := func() (string, error) {
-				steps := []struct {
-					label string
-					call  func() (string, error)
-				}{
-					{"call_Initialize_SP200_API", func() (string, error) { return session.CallInitializeSP200API(cfg.System) }},
-					{"call_Connect_SP200", session.CallConnectSP200},
-					{"call_Load_Firmware_SP200", session.CallLoadFirmwareSP200},
-					{"call_Initialize_CV_Tech_SP200", func() (string, error) { return session.CallInitializeCVTechSP200(cfg.CV) }},
-					{"call_Load_Technique_SP200", session.CallLoadTechniqueSP200},
-					{"call_Start_Channel_SP200", session.CallStartChannelSP200},
+				if err := PowerUpSP200(session, cfg.System, c.Logf); err != nil {
+					return "", err
 				}
-				for i, s := range steps {
-					out, err := s.call()
-					if err != nil {
-						return "", fmt.Errorf("step %d %s: %w", i+1, s.label, err)
-					}
-					c.Logf("(%d) %s → %s", i+1, s.label, out)
+				if err := StartCV(session, cfg.CV, c.Logf); err != nil {
+					return "", err
 				}
 				// Streaming retrieval + online analysis: learn the file
 				// name now (step 6 fixed it before the first flush) and
@@ -297,10 +261,6 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 					if err != nil {
 						c.Logf("streaming analysis unavailable (%v); will retrieve classically", err)
 					} else {
-						streamPoll := cfg.StreamPoll
-						if streamPoll <= 0 {
-							streamPoll = cfg.WaitPoll
-						}
 						var sctx context.Context
 						sctx, streamCancel = context.WithCancel(c.Ctx)
 						streamCh = make(chan *streamOutcome, 1)
@@ -323,7 +283,7 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 							streamSpan.SetAttr("mode", "stream")
 							var anaSpan *trace.Span
 							so.data, so.res, so.err = datachan.StreamFile(sctx, mount, fileHint, datachan.StreamOptions{
-								Poll: streamPoll,
+								Poll: cfg.WaitPoll,
 								OnChunk: func(chunk []byte) {
 									if chunk == nil { // refetch reset
 										so.parser.Reset()
@@ -354,40 +314,7 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 						}()
 					}
 				}
-				// While the blocking wait is in flight on the pipelined
-				// control channel, optionally watch the data channel for
-				// the growing measurement file and narrate progress (the
-				// streaming path narrates on its own).
-				var stopProgress chan struct{}
-				if cfg.ProgressPoll > 0 && streamCh == nil {
-					stopProgress = make(chan struct{})
-					go func() {
-						var lastSize int64 = -1
-						ticker := time.NewTicker(cfg.ProgressPoll)
-						defer ticker.Stop()
-						for {
-							select {
-							case <-stopProgress:
-								return
-							case <-ticker.C:
-							}
-							files, err := mount.List()
-							if err != nil {
-								return
-							}
-							for _, f := range files {
-								if f.Size != lastSize && f.Size > 0 {
-									lastSize = f.Size
-									c.Logf("… acquiring: %s now %d bytes", f.Name, f.Size)
-								}
-							}
-						}
-					}()
-				}
 				fileName, err := session.CallGetTechPathRslt()
-				if stopProgress != nil {
-					close(stopProgress)
-				}
 				if err != nil {
 					return "", fmt.Errorf("step 7 call_Get_Tech_Path_Rslt: %w", err)
 				}
@@ -457,10 +384,9 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 					_, finSpan := phase(c, "cv.analyze", trace.ClassAnalysis)
 					finSpan.SetAttr("mode", "stream-final")
 					err := func() error {
-						e, i := analysis.FromRecords(records)
-						summary, err := analysis.AnalyzeCV(e, i, units.Celsius(25))
+						summary, err := analyzeRecords(records)
 						if err != nil {
-							return fmt.Errorf("analysis: %w", err)
+							return err
 						}
 						outcome.Summary = summary
 						if so.online != nil {
@@ -510,30 +436,11 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 			if sr, ok := mount.(mountStats); ok {
 				statsBefore = sr.Stats()
 			}
-			data, gotName, err := func() ([]byte, string, error) {
-				waitCtx, cancelWait := context.WithTimeout(c.Ctx, cfg.WaitTimeout)
-				defer cancelWait()
-				data, gotName, err := mount.WaitForContext(waitCtx, fileName, cfg.WaitPoll)
-				if err != nil {
-					return nil, "", fmt.Errorf("data channel: %w", err)
-				}
-
-				// Final end-to-end integrity check before any analysis:
-				// the local bytes must match the export-side SHA-256
-				// right now.
-				localSum := sha256.Sum256(data)
-				outcome.SHA256 = hex.EncodeToString(localSum[:])
-				remoteSum, remoteSize, err := mount.Checksum(gotName)
-				if err != nil {
-					return nil, "", fmt.Errorf("data channel checksum: %w", err)
-				}
-				if remoteSum != outcome.SHA256 || remoteSize != int64(len(data)) {
-					return nil, "", fmt.Errorf("measurement file %q failed end-to-end verification (local %d bytes sha %.8s, remote %d bytes sha %.8s)",
-						gotName, len(data), outcome.SHA256, remoteSize, remoteSum)
-				}
-				c.Logf("end-to-end verified %d bytes (sha256 %.16s…)", len(data), outcome.SHA256)
-				return data, gotName, nil
-			}()
+			data, gotName, sum, err := RetrieveVerified(c.Ctx, mount, fileName, cfg.WaitPoll, cfg.WaitTimeout)
+			if err == nil {
+				outcome.SHA256 = sum
+				c.Logf("end-to-end verified %d bytes (sha256 %.16s…)", len(data), sum)
+			}
 			if sb, ok := mount.(spanBinder); ok {
 				sb.SetSpan(nil)
 			}
@@ -554,52 +461,30 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 
 			// Phase 3 — analysis: parse and analyze locally.
 			_, anaSpan := phase(c, "cv.analyze", trace.ClassAnalysis)
-			mf, summary, err := func() (*potentiostat.MeasurementFile, *analysis.CVSummary, error) {
-				mf, err := potentiostat.ParseMPT(bytes.NewReader(data))
-				if err != nil {
-					return nil, nil, fmt.Errorf("parse measurements: %w", err)
-				}
-				e, i := analysis.FromRecords(mf.Records)
-				summary, err := analysis.AnalyzeCV(e, i, units.Celsius(25))
-				if err != nil {
-					return nil, nil, fmt.Errorf("analysis: %w", err)
-				}
-				return mf, summary, nil
-			}()
+			records, summary, err := AnalyzeCV(data)
 			anaSpan.EndErr(err)
 			if err != nil {
 				return "", err
 			}
 			outcome.FileName = gotName
-			outcome.Records = mf.Records
+			outcome.Records = records
 			outcome.Summary = summary
 			c.Logf("I-V analysis: %v", summary)
 
 			if cfg.Classifier != nil {
 				_, mlSpan := phase(c, "ml.classify", trace.ClassAnalysis)
-				err := func() error {
-					e, i := analysis.FromRecords(mf.Records)
-					feats, err := ml.Features(e, i)
-					if err != nil {
-						return fmt.Errorf("feature extraction: %w", err)
-					}
-					class, err := cfg.Classifier.Predict(feats)
-					if err != nil {
-						return fmt.Errorf("classification: %w", err)
-					}
-					outcome.Classified = true
-					outcome.Class = class
-					outcome.ClassName = ml.ClassName(class)
-					return nil
-				}()
+				class, err := ClassifyCV(cfg.Classifier, records)
 				mlSpan.EndErr(err)
 				if err != nil {
 					return "", err
 				}
+				outcome.Classified = true
+				outcome.Class = class
+				outcome.ClassName = ml.ClassName(class)
 				c.Logf("ML normality check: %s", outcome.ClassName)
 			}
 			outcome.VerdictReady = time.Now()
-			return fmt.Sprintf("OK %d points", len(mf.Records)), nil
+			return fmt.Sprintf("OK %d points", len(records)), nil
 		},
 	})
 

@@ -7,12 +7,10 @@ import (
 	"sync"
 	"time"
 
-	"ice/internal/analysis"
 	"ice/internal/core"
 	"ice/internal/datachan"
 	"ice/internal/ml"
 	"ice/internal/potentiostat"
-	"ice/internal/units"
 )
 
 // DefaultClassifierSeed is the training seed ml-classify nodes use
@@ -54,27 +52,13 @@ type LabExecutor struct {
 	Session *core.RemoteSession
 	Mount   datachan.Share
 	// WaitPoll/WaitTimeout bound the data-channel wait for a
-	// measurement file (defaults 20ms / 2m, as the CV workflow).
+	// measurement file (zero selects core.RetrieveVerified's defaults).
 	WaitPoll    time.Duration
 	WaitTimeout time.Duration
 	// Classifier, when set, overrides seed-derived training for
 	// ml-classify nodes (the smoke drills share one trained ensemble
 	// between the classic and DAG paths this way).
 	Classifier *ml.Ensemble
-}
-
-func (x *LabExecutor) waitPoll() time.Duration {
-	if x.WaitPoll > 0 {
-		return x.WaitPoll
-	}
-	return 20 * time.Millisecond
-}
-
-func (x *LabExecutor) waitTimeout() time.Duration {
-	if x.WaitTimeout > 0 {
-		return x.WaitTimeout
-	}
-	return 2 * time.Minute
 }
 
 // RunNode dispatches one node by type.
@@ -118,23 +102,9 @@ func (x *LabExecutor) runPyro(ctx context.Context, n *Node) (*NodeResult, []byte
 func (x *LabExecutor) runFill(ctx context.Context, n *Node) (*NodeResult, []byte, error) {
 	x.Session.BindTraceContext(ctx)
 	f := n.Fill
-	steps := []struct {
-		label string
-		call  func() (string, error)
-	}{
-		{"Set_Rate_SyringePump", func() (string, error) { return x.Session.SetRateSyringePump(f.PumpAddr, f.RateMLMin) }},
-		{"Set_Port_SyringePump", func() (string, error) { return x.Session.SetPortSyringePump(f.PumpAddr, f.StockPort) }},
-		{"Withdraw_SyringePump", func() (string, error) { return x.Session.WithdrawSyringePump(f.PumpAddr, f.VolumeML) }},
-		{"Set_Port_SyringePump", func() (string, error) { return x.Session.SetPortSyringePump(f.PumpAddr, f.CellPort) }},
-		{"Dispense_SyringePump", func() (string, error) { return x.Session.DispenseSyringePump(f.PumpAddr, f.VolumeML) }},
-	}
-	for _, s := range steps {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if _, err := s.call(); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", s.label, err)
-		}
+	fill := core.FillParams{PumpAddr: f.PumpAddr, StockPort: f.StockPort, CellPort: f.CellPort, VolumeML: f.VolumeML, RateMLMin: f.RateMLMin}
+	if err := core.FillCell(ctx, x.Session, fill, nil); err != nil {
+		return nil, nil, err
 	}
 	return &NodeResult{Output: fmt.Sprintf("filled %.1f mL via pump %d", f.VolumeML, f.PumpAddr)}, nil, nil
 }
@@ -154,21 +124,11 @@ func (x *LabExecutor) runAcquire(ctx context.Context, inv *Invocation) (*NodeRes
 	if err := x.Session.ResetSP200(); err != nil {
 		return nil, nil, fmt.Errorf("reset sp200: %w", err)
 	}
-	steps := []struct {
-		label string
-		call  func() (string, error)
-	}{
-		{"call_Initialize_SP200_API", func() (string, error) { return x.Session.CallInitializeSP200API(n.Acquire.System) }},
-		{"call_Connect_SP200", x.Session.CallConnectSP200},
-		{"call_Load_Firmware_SP200", x.Session.CallLoadFirmwareSP200},
-		{"call_Initialize_CV_Tech_SP200", func() (string, error) { return x.Session.CallInitializeCVTechSP200(n.Acquire.CV) }},
-		{"call_Load_Technique_SP200", x.Session.CallLoadTechniqueSP200},
-		{"call_Start_Channel_SP200", x.Session.CallStartChannelSP200},
+	if err := core.PowerUpSP200(x.Session, n.Acquire.System, nil); err != nil {
+		return nil, nil, err
 	}
-	for i, s := range steps {
-		if _, err := s.call(); err != nil {
-			return nil, nil, fmt.Errorf("step %d %s: %w", i+1, s.label, err)
-		}
+	if err := core.StartCV(x.Session, n.Acquire.CV, nil); err != nil {
+		return nil, nil, err
 	}
 	fileName, err := x.Session.CallGetTechPathRslt()
 	if err != nil {
@@ -198,20 +158,9 @@ func (x *LabExecutor) runRetrieve(ctx context.Context, inv *Invocation) (*NodeRe
 	if acq == nil || acq.File == "" {
 		return nil, nil, fmt.Errorf("acquire dependency reported no measurement file")
 	}
-	waitCtx, cancel := context.WithTimeout(ctx, x.waitTimeout())
-	defer cancel()
-	data, gotName, err := x.Mount.WaitForContext(waitCtx, acq.File, x.waitPoll())
+	data, gotName, localSum, err := core.RetrieveVerified(ctx, x.Mount, acq.File, x.WaitPoll, x.WaitTimeout)
 	if err != nil {
-		return nil, nil, fmt.Errorf("data channel: %w", err)
-	}
-	localSum := sha256Sum(data)
-	remoteSum, remoteSize, err := x.Mount.Checksum(gotName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("data channel checksum: %w", err)
-	}
-	if remoteSum != localSum || remoteSize != int64(len(data)) {
-		return nil, nil, fmt.Errorf("measurement file %q failed end-to-end verification (local %d bytes sha %.8s, remote %d bytes sha %.8s)",
-			gotName, len(data), localSum, remoteSize, remoteSum)
+		return nil, nil, err
 	}
 	if acq.Digest != "" && acq.Digest != localSum {
 		return nil, nil, fmt.Errorf("measurement file %q changed since acquisition (acquired sha %.8s, retrieved sha %.8s)",
@@ -229,17 +178,12 @@ func (x *LabExecutor) runAnalyze(inv *Invocation) (*NodeResult, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	mf, err := potentiostat.ParseMPT(bytes.NewReader(data))
+	records, summary, err := core.AnalyzeCV(data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("parse measurements: %w", err)
-	}
-	e, i := analysis.FromRecords(mf.Records)
-	summary, err := analysis.AnalyzeCV(e, i, units.Celsius(25))
-	if err != nil {
-		return nil, nil, fmt.Errorf("analysis: %w", err)
+		return nil, nil, err
 	}
 	return &NodeResult{
-		Points:       len(mf.Records),
+		Points:       len(records),
 		AnodicPeakUA: summary.AnodicPeak.Microamperes(),
 		Output:       summary.String(),
 	}, nil, nil
@@ -261,14 +205,9 @@ func (x *LabExecutor) runClassify(inv *Invocation) (*NodeResult, []byte, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("parse measurements: %w", err)
 	}
-	e, i := analysis.FromRecords(mf.Records)
-	feats, err := ml.Features(e, i)
+	class, err := core.ClassifyCV(clf, mf.Records)
 	if err != nil {
-		return nil, nil, fmt.Errorf("feature extraction: %w", err)
-	}
-	class, err := clf.Predict(feats)
-	if err != nil {
-		return nil, nil, fmt.Errorf("classification: %w", err)
+		return nil, nil, err
 	}
 	return &NodeResult{
 		Class:     class,

@@ -100,7 +100,9 @@ func TestWatcherSurvivesTransientListError(t *testing.T) {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	os.WriteFile(filepath.Join(dir, "after.mpt"), []byte("recovered"), 0o644)
+	if err := writeAtomic(filepath.Join(dir, "after.mpt"), []byte("recovered")); err != nil {
+		t.Fatal(err)
+	}
 
 	ev := waitEvent(t, w)
 	if ev.Type != Created || ev.File.Name != "after.mpt" {
@@ -145,7 +147,7 @@ func TestWaitForToleratesTransientListErrors(t *testing.T) {
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		os.Mkdir(dir, 0o755)
-		os.WriteFile(filepath.Join(dir, "late.mpt"), []byte("finally here\n"), 0o644)
+		writeAtomic(filepath.Join(dir, "late.mpt"), []byte("finally here\n"))
 	}()
 	data, name, err := m.WaitFor("late", 10*time.Millisecond, 5*time.Second)
 	if err != nil {

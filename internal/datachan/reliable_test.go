@@ -106,10 +106,13 @@ func (h *reliableHarness) killActive() {
 	}
 }
 
+// write publishes a file on the share atomically (see writeAtomic).
+// It may run on a goroutine other than the test's, so it reports
+// failure with Error rather than Fatal.
 func (h *reliableHarness) write(t *testing.T, name string, data []byte) {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(h.dir, name), data, 0o644); err != nil {
-		t.Fatal(err)
+	if err := writeAtomic(filepath.Join(h.dir, name), data); err != nil {
+		t.Error(err)
 	}
 }
 
