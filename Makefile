@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-parallel bench-parallel-quick bench-wire bench-wire-quick icebench icebench-quick bench-check flake fuzz gateway-smoke trace-smoke cluster-smoke health-smoke dag-smoke lab-smoke
+.PHONY: all build vet test race bench bench-parallel bench-parallel-quick bench-wire bench-wire-quick icebench icebench-quick bench-check flake fuzz
 
 all: build vet test
 
@@ -62,60 +62,6 @@ icebench-quick:
 # not reach it.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# End-to-end gateway check: icegated on a self-deployed lab, two
-# tenants' jobs through the HTTP API, leases verified clean.
-gateway-smoke:
-	$(GO) run ./cmd/icegated -smoke
-
-# Tracing acceptance drill: a two-cell campaign job through the
-# gateway, its trace fetched by ID and checked for a parent-complete
-# span tree and a critical-path partition that sums to the wall time.
-# The JSONL export lands in trace_smoke.jsonl for offline icetrace
-# inspection (CI uploads it when the drill fails).
-trace-smoke:
-	$(GO) run ./cmd/icegated -trace-smoke -trace-export trace_smoke.jsonl
-
-# Federation acceptance drill: two facility gateways over one lab, one
-# killed mid-CV (kill -9 semantics); the peer must adopt the job from
-# the replicated WAL within 10s and finish it exactly once (audit
-# verified). State, replicated WALs, and the trace JSONL land in
-# cluster_smoke_state/ (CI uploads them when the drill fails).
-cluster-smoke:
-	$(GO) run ./cmd/icegated -cluster-smoke
-
-# Instrument-health acceptance drill: the simulated potentiostat
-# wedges mid-acquisition; the breaker must quarantine it, fence the
-# wedged run with an emergency abort, checkpoint-requeue the job,
-# recover via a half-open probe and finish exactly once (audit
-# verified, goroutine-leak checked). An unmeetable deadline_ms must be
-# rejected at admission with 503 + Retry-After. State and the trace
-# JSONL land in health_smoke_state/ (CI uploads them on failure).
-health-smoke:
-	$(GO) run ./cmd/icegated -health-smoke
-
-# DAG-engine acceptance drill: the examples/dag specs against
-# self-deployed labs. The cv_classic.json graph must reproduce the
-# hardwired cv job's measurement digest and ML verdict bit for bit;
-# resubmitting it must serve every cacheable node from the
-# content-keyed cache with the instrument untouched; a kill -9
-# mid-DAG must resume exactly once from the checkpoint journal; and
-# the two-cell campaign round must analyze both branches. State and
-# per-job journals land in dag_smoke_state/ (CI uploads them on
-# failure).
-dag-smoke:
-	$(GO) run ./cmd/icegated -dag-smoke
-
-# Declarative-registry acceptance drill: the
-# examples/labs/microscopy.yaml config must bring up a multi-station
-# facility (echem control agent + scan-steering STEM) from
-# configuration alone, run a cv job and a scan job side by side on one
-# scheduler with registry-derived health supervision, show exactly one
-# acquisition per instrument in the per-station audit journals, and
-# tear down with zero leaked leases or goroutines. Facility state
-# lands in lab_smoke_state/ (CI uploads it on failure).
-lab-smoke:
-	$(GO) run ./cmd/icegated -lab-smoke
 
 fuzz:
 	for pkg in $$($(GO) list ./...); do \

@@ -15,9 +15,11 @@ import (
 // archRule reserves a set of method names to one package: a reference
 // to any of them (a call or a method value) anywhere else in the
 // module's non-test code is a violation, unless the enclosing function
-// is allowlisted as "dir/file.go:Func". Allowlists may only shrink: an
-// entry that no longer matches anything fails the test too, so a
-// deletion cannot quietly leave room for the code to grow back.
+// is allowlisted as "dir/file.go:Func". An import path in methods
+// reserves importing that package; its enclosing function is
+// "(imports)". Allowlists may only shrink: an entry that no longer
+// matches anything fails the test too, so a deletion cannot quietly
+// leave room for the code to grow back.
 type archRule struct {
 	why     string
 	methods []string
@@ -42,6 +44,11 @@ var archRules = []archRule{
 		// The workbench transcripts reproduce the paper's figures call
 		// by call, with the figure's own labels.
 		allow: []string{"cmd/workbench/main.go:fig5", "cmd/workbench/main.go:fig6"},
+	},
+	{
+		why:     "test helpers stay out of the programs",
+		methods: []string{"ice/internal/testutil"},
+		owner:   "internal/testutil",
 	},
 }
 
@@ -107,6 +114,9 @@ func scanModuleRefs(t *testing.T, root string) []archRef {
 			return err
 		}
 		rel := filepath.ToSlash(path)
+		for _, imp := range f.Imports {
+			refs = append(refs, archRef{file: rel, fn: "(imports)", method: strings.Trim(imp.Path.Value, `"`), pos: fset.Position(imp.Pos())})
+		}
 		for _, decl := range f.Decls {
 			fn := "(package scope)"
 			if fd, ok := decl.(*ast.FuncDecl); ok {

@@ -8,14 +8,11 @@
 //	icegated -selflab -dir /var/lib/icegated           # durable state directory
 //	icegated -lab examples/labs/microscopy.yaml        # declarative facility from a registry config
 //	icegated -agent acl-host -token s3cret -reliable   # schedule onto a real control agent
-//	icegated -smoke                                    # one-shot self-test: two tenants, then exit
-//	icegated -lab-smoke                                # one-shot registry drill: mixed cv+scan, then exit
 //
 // Federate gateways across facilities (replicated WAL, leader
 // failover, partition-tolerant routing):
 //
 //	icegated -selflab -facility faca -peer facb=http://b:9700 -peer-lab facb=b-lab:9690
-//	icegated -cluster-smoke                            # one-shot failover drill, then exit
 //
 // Submit with icectl:
 //
@@ -25,18 +22,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -47,7 +41,6 @@ import (
 	"ice/internal/netsim"
 	"ice/internal/sched"
 	"ice/internal/sched/cluster"
-	"ice/internal/testutil"
 	"ice/internal/trace"
 )
 
@@ -86,51 +79,7 @@ func main() {
 	flag.Var(peers, "peer", "federated cluster: a peer gateway as facility=http://host:9700 (repeatable)")
 	peerLabs := assignments{}
 	flag.Var(peerLabs, "peer-lab", "federated cluster: a peer facility's lab address as facility=host:port, dialed as the failover fencing probe (repeatable; omitted = never adopt that peer's jobs)")
-
-	smoke := flag.Bool("smoke", false, "one-shot self-test: selflab gateway, two tenants submit, wait, report, exit")
-	traceSmoke := flag.Bool("trace-smoke", false, "one-shot trace self-test: selflab two-cell campaign, fetch its trace, verify the span tree and critical-path partition, exit")
-	clusterSmoke := flag.Bool("cluster-smoke", false, "one-shot federation self-test: two in-process facility gateways over one lab, kill one mid-CV, the peer must adopt via the replicated WAL within 10s and finish exactly once, exit")
-	healthSmoke := flag.Bool("health-smoke", false, "one-shot health drill: wedge the simulated potentiostat mid-acquisition, the breaker must quarantine it, checkpoint-requeue the job, recover via a probe and finish exactly once, exit")
-	dagSmoke := flag.Bool("dag-smoke", false, "one-shot DAG drill: run the examples/dag specs against a selflab, assert digest equivalence with the classic cv path, cache hits on re-run, and crash-resume exactly once, exit")
-	labSmoke := flag.Bool("lab-smoke", false, "one-shot registry drill: bring up examples/labs/microscopy.yaml from config alone, run a mixed cv+scan workload, assert exactly-once audit and zero leaked leases/goroutines, exit")
 	flag.Parse()
-
-	if *labSmoke {
-		if err := runLabSmoke("lab_smoke_state", *dagCacheMax); err != nil {
-			log.Fatalf("lab-smoke: %v", err)
-		}
-		log.Print("lab-smoke: OK")
-		return
-	}
-
-	if *dagSmoke {
-		if err := runDAGSmoke("dag_smoke_state"); err != nil {
-			log.Fatalf("dag-smoke: %v", err)
-		}
-		log.Print("dag-smoke: OK")
-		return
-	}
-
-	if *healthSmoke {
-		if err := runHealthSmoke("health_smoke_state"); err != nil {
-			log.Fatalf("health-smoke: %v", err)
-		}
-		log.Print("health-smoke: OK")
-		return
-	}
-
-	if *clusterSmoke {
-		if err := runClusterSmoke("cluster_smoke_state"); err != nil {
-			log.Fatalf("cluster-smoke: %v", err)
-		}
-		log.Print("cluster-smoke: OK")
-		return
-	}
-
-	if *smoke || *traceSmoke {
-		*selflab = true
-		*listen = "127.0.0.1:0"
-	}
 
 	var wireVersion int
 	switch *wire {
@@ -144,6 +93,9 @@ func main() {
 
 	var connector sched.Connector
 	var labFacility *labreg.Facility
+	// instruments maps each health-probed instrument class to its lease
+	// resources: the echem pair, or every device a declared lab names.
+	instruments := map[string][]string{"sp200": {sched.ResourceSP200}, "jkem": {sched.ResourceJKem}}
 	modes := 0
 	for _, on := range []bool{*selflab, *agentHost != "", *labConfig != ""} {
 		if on {
@@ -166,6 +118,7 @@ func main() {
 		defer f.Close()
 		labFacility = f
 		connector = f
+		instruments = f.HealthInstruments()
 		log.Printf("labreg: facility %q up from %s (%d stations: %s)",
 			f.Config.Facility, *labConfig, len(f.Stations()), stationSummary(f))
 	case *selflab:
@@ -226,7 +179,7 @@ func main() {
 	// scan jobs only wait on the stem class, not the echem pair.
 	healthCfg := healthConfig(*probeInterval, *minDeadline)
 	if labFacility != nil {
-		healthCfg.Instruments = labFacility.HealthInstruments()
+		healthCfg.Instruments = instruments
 		healthCfg.ClassesFor = labFacility.ClassesFor
 	}
 
@@ -269,20 +222,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		prober := wireProber(node.Scheduler(), node.Gateway(), connector,
-			cluster.FacilityResources(*facility)...)
-		defer prober.Close()
+		closeProbers := wireProbers(node.Scheduler(), node.Gateway(), connector,
+			map[string][]string{"echem": cluster.FacilityResources(*facility)})
+		defer closeProbers()
 		serveCluster(*listen, node)
 		return
 	}
 	if len(peers) > 0 || len(peerLabs) > 0 {
 		log.Fatal("-peer/-peer-lab require -facility")
 	}
-
-	// Leak baseline for the one-shot smoke path: everything started
-	// below (scheduler, prober, HTTP server) is torn down before the
-	// check, so the count must settle back here.
-	baseline := runtime.NumGoroutine()
 
 	s, err := sched.New(sched.Config{
 		Dir:           *dir,
@@ -307,18 +255,16 @@ func main() {
 		CacheMaxBytes:    *dagCacheMax,
 	})
 	gw := sched.NewGateway(s)
-	var closeProbers func()
-	if labFacility != nil {
-		closeProbers = wireFacilityProbers(s, gw, labFacility)
-	} else {
-		prober := wireProber(s, gw, connector, sched.ResourceSP200, sched.ResourceJKem)
-		closeProbers = prober.Close
-	}
+	closeProbers := wireProbers(s, gw, connector, instruments)
 	defer closeProbers()
 	if err := s.Start(); err != nil {
 		log.Fatal(err)
 	}
 
+	// Signals are caught before the "listening on" line, so whoever
+	// waits for that line may stop the daemon at once.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
@@ -332,151 +278,12 @@ func main() {
 	log.Printf("icegated: listening on http://%s (state in %s, queue %d, %d workers, lease TTL %v)",
 		l.Addr(), *dir, *queueCap, *workers, *leaseTTL)
 
-	if *smoke {
-		err := runSmoke("http://" + l.Addr().String())
-		srv.Shutdown(context.Background())
-		s.Stop()
-		closeProbers()
-		if err == nil {
-			err = testutil.WaitGoroutines(baseline, 8, 5*time.Second)
-		}
-		if err != nil {
-			log.Fatalf("smoke: %v", err)
-		}
-		log.Print("smoke: OK")
-		return
-	}
-	if *traceSmoke {
-		err := runTraceSmoke("http://" + l.Addr().String())
-		srv.Shutdown(context.Background())
-		s.Stop()
-		if err != nil {
-			log.Fatalf("trace-smoke: %v", err)
-		}
-		log.Print("trace-smoke: OK")
-		return
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	log.Print("icegated: shutting down (queued jobs stay PENDING in the WAL)")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv.Shutdown(shutdownCtx)
 	s.Stop()
-}
-
-// runTraceSmoke is the tracing acceptance drill: submit a two-cell
-// campaign (the fleet shape whose WAN retrieval pipelines under the
-// sibling cell's instrument hold), fetch its trace by the ID the
-// submission returned, and verify the span tree is parent-complete and
-// the critical-path segments partition the job's wall time.
-func runTraceSmoke(base string) error {
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{
-		"tenant": "acl", "kind": "campaign", "cells": [
-			{"name": "cell-a", "rounds": [{"concentration_mm": 1}, {"concentration_mm": 2}]},
-			{"name": "cell-b", "rounds": [{"concentration_mm": 4}, {"concentration_mm": 8}]}
-		]}`))
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("submit: %s: %s", resp.Status, body)
-	}
-	var job sched.Job
-	if err := json.Unmarshal(body, &job); err != nil {
-		return err
-	}
-	if job.TraceID == "" {
-		return fmt.Errorf("job %s carries no trace ID", job.ID)
-	}
-	log.Printf("trace-smoke: submitted %s, trace %s", job.ID, job.TraceID)
-
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s did not finish in time", job.ID)
-		}
-		resp, err := http.Get(base + "/v1/jobs/" + job.ID)
-		if err != nil {
-			return err
-		}
-		var cur sched.Job
-		err = json.NewDecoder(resp.Body).Decode(&cur)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if cur.State.Terminal() {
-			if cur.State != sched.StateDone {
-				return fmt.Errorf("job %s ended %s: %s", job.ID, cur.State, cur.Error)
-			}
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	// The root span lands in the store when the scheduler finalises the
-	// job, a hair after the state flips to DONE.
-	var tr sched.TraceResponse
-	for {
-		resp, err := http.Get(base + "/v1/traces/" + job.TraceID)
-		if err != nil {
-			return err
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			if err := json.Unmarshal(body, &tr); err != nil {
-				return err
-			}
-			if hasRoot(tr.Spans, "job "+job.ID) {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("trace %s never served a root span (last: %s %s)", job.TraceID, resp.Status, body)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	for _, want := range []string{"sched.run", "campaign.round 1", "campaign.acquire", "campaign.retrieve", "campaign.analyze"} {
-		found := false
-		for _, rec := range tr.Spans {
-			if rec.Name == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("trace is missing span %q (%d spans)", want, len(tr.Spans))
-		}
-	}
-	if orphans := trace.Orphans(tr.Spans); len(orphans) != 0 {
-		return fmt.Errorf("trace has %d orphaned spans: %v", len(orphans), orphans)
-	}
-	b := tr.Breakdown
-	if b.Wall <= 0 || b.Instrument <= 0 || b.Data <= 0 || b.Sched <= 0 {
-		return fmt.Errorf("critical path has empty phases:\n%s", trace.RenderBreakdown(b))
-	}
-	sum := b.Instrument + b.Data + b.Analysis + b.Sched + b.Control + b.Other + b.Idle
-	if diff := sum - b.Wall; diff < -b.Wall/20 || diff > b.Wall/20 {
-		return fmt.Errorf("segments sum to %v against wall %v:\n%s", sum, b.Wall, trace.RenderBreakdown(b))
-	}
-	log.Printf("trace-smoke: %d spans, partition holds\n%s", len(tr.Spans), trace.RenderBreakdown(b))
-	return nil
-}
-
-func hasRoot(recs []trace.Record, name string) bool {
-	for _, rec := range recs {
-		if rec.Name == name && rec.Parent == "" {
-			return true
-		}
-	}
-	return false
 }
 
 // healthConfig builds the scheduler's health supervision config from
@@ -490,26 +297,15 @@ func healthConfig(probeInterval, minDeadline time.Duration) sched.HealthConfig {
 	return sched.HealthConfig{ProbeInterval: probeInterval, MinDeadline: minDeadline}
 }
 
-// wireProber attaches lab-backed health probes, the quarantine fence,
-// and the probe/session-liveness metrics to a scheduler and its
-// gateway. Call before Start so the first probe tick has probers.
-func wireProber(s *sched.Scheduler, gw *sched.Gateway, connector sched.Connector, resources ...string) *sched.LabProber {
-	p := &sched.LabProber{Connector: connector}
-	for _, res := range resources {
-		s.RegisterProber(res, p.ProberFor(res))
-	}
-	s.SetFence(p.FenceFor)
-	gw.Registry().AddSource(p.HealthSource())
-	return p
-}
-
-// wireFacilityProbers wires health probes for every instrument a
-// declared facility materialized: the echem prober covers the
-// sp200/jkem classes, the scan prober covers stem devices, and the
-// quarantine fence fans out to both (each fence ignores resources
-// outside its class). Returns the combined closer.
-func wireFacilityProbers(s *sched.Scheduler, gw *sched.Gateway, f *labreg.Facility) func() {
-	instruments := f.HealthInstruments()
+// wireProbers attaches health probes, the quarantine fence and the
+// probe/session-liveness metrics for every instrument class in
+// instruments (class → lease resources) to a scheduler and its
+// gateway: the scan prober covers the stem class when the connector
+// can reach a scan station, one lab prober covers every other class,
+// and the fence fans out to both (each fence ignores resources outside
+// its class). Call before Start so the first probe tick has probers;
+// the returned func closes them.
+func wireProbers(s *sched.Scheduler, gw *sched.Gateway, connector sched.Connector, instruments map[string][]string) func() {
 	var closers []func()
 	var fences []func(ctx context.Context, resource string)
 
@@ -521,7 +317,7 @@ func wireFacilityProbers(s *sched.Scheduler, gw *sched.Gateway, f *labreg.Facili
 		echemRes = append(echemRes, resources...)
 	}
 	if len(echemRes) > 0 {
-		p := &sched.LabProber{Connector: f}
+		p := &sched.LabProber{Connector: connector}
 		for _, res := range echemRes {
 			s.RegisterProber(res, p.ProberFor(res))
 		}
@@ -529,9 +325,9 @@ func wireFacilityProbers(s *sched.Scheduler, gw *sched.Gateway, f *labreg.Facili
 		gw.Registry().AddSource(p.HealthSource())
 		closers = append(closers, p.Close)
 	}
-	if scanRes := instruments["stem"]; len(scanRes) > 0 {
-		p := &sched.ScanProber{Connector: f}
-		for _, res := range scanRes {
+	if scanner, ok := connector.(sched.ScanConnector); ok && len(instruments["stem"]) > 0 {
+		p := &sched.ScanProber{Connector: scanner}
+		for _, res := range instruments["stem"] {
 			s.RegisterProber(res, p.Prober())
 		}
 		fences = append(fences, p.Fence)
@@ -577,81 +373,4 @@ func parseWeights(s string) (map[string]sched.TenantLimits, error) {
 		out[name] = sched.TenantLimits{Weight: w}
 	}
 	return out, nil
-}
-
-// runSmoke drives the gateway the way two tenants would: each submits
-// a job over HTTP, both complete, and the lease table drains — the
-// make gateway-smoke acceptance path.
-func runSmoke(base string) error {
-	submit := func(spec string) (sched.Job, error) {
-		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
-		if err != nil {
-			return sched.Job{}, err
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusAccepted {
-			return sched.Job{}, fmt.Errorf("submit: %s: %s", resp.Status, body)
-		}
-		var job sched.Job
-		if err := json.Unmarshal(body, &job); err != nil {
-			return sched.Job{}, err
-		}
-		return job, nil
-	}
-
-	jobA, err := submit(`{"tenant": "acl", "kind": "cv", "points": 600}`)
-	if err != nil {
-		return err
-	}
-	jobB, err := submit(`{"tenant": "dgx", "kind": "campaign", "cells": [
-		{"name": "smoke-cell", "rounds": [{"concentration_mm": 2}, {"scan_rate_mvs": 100}]}
-	]}`)
-	if err != nil {
-		return err
-	}
-	log.Printf("smoke: submitted %s (acl/cv) and %s (dgx/campaign)", jobA.ID, jobB.ID)
-
-	deadline := time.Now().Add(2 * time.Minute)
-	for _, id := range []string{jobA.ID, jobB.ID} {
-		for {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("job %s did not finish in time", id)
-			}
-			resp, err := http.Get(base + "/v1/jobs/" + id)
-			if err != nil {
-				return err
-			}
-			var job sched.Job
-			err = json.NewDecoder(resp.Body).Decode(&job)
-			resp.Body.Close()
-			if err != nil {
-				return err
-			}
-			if job.State.Terminal() {
-				if job.State != sched.StateDone {
-					return fmt.Errorf("job %s ended %s: %s", id, job.State, job.Error)
-				}
-				log.Printf("smoke: %s DONE: %s", id, job.Result)
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-
-	resp, err := http.Get(base + "/v1/leases")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var leases struct {
-		Leases []sched.LeaseInfo `json:"leases"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&leases); err != nil {
-		return err
-	}
-	if len(leases.Leases) != 0 {
-		return fmt.Errorf("leaked leases after completion: %+v", leases.Leases)
-	}
-	return nil
 }

@@ -56,8 +56,8 @@ type LabExecutor struct {
 	WaitPoll    time.Duration
 	WaitTimeout time.Duration
 	// Classifier, when set, overrides seed-derived training for
-	// ml-classify nodes (the smoke drills share one trained ensemble
-	// between the classic and DAG paths this way).
+	// ml-classify nodes (the equivalence test shares one trained
+	// ensemble between the classic and DAG paths this way).
 	Classifier *ml.Ensemble
 }
 

@@ -187,6 +187,18 @@ func TestClusterFailoverKillDashNineExactlyOnce(t *testing.T) {
 		t.Fatalf("status via surviving peer = %v HTTP %d err %v", viaB.State, status, err)
 	}
 
+	// The survivor reports itself a ready leader after the takeover.
+	resp, err := clientB.Get(urlGwB + "/v1/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ready sched.ReadyStatus
+	err = json.NewDecoder(resp.Body).Decode(&ready)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !ready.Ready || ready.Role != "leader" {
+		t.Errorf("survivor readyz = HTTP %d %+v (%v), want a ready leader", resp.StatusCode, ready, err)
+	}
+
 	// Digest verification against the data channel.
 	var result sched.CVResult
 	if err := json.Unmarshal(final.Result, &result); err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +15,22 @@ import (
 	"ice/internal/core"
 	"ice/internal/dag"
 	"ice/internal/netsim"
+	"ice/internal/testutil"
 	"ice/internal/workflow"
 )
+
+// checkGoroutines fails the test unless the goroutine count settles
+// back to its value at the call once the test and every cleanup
+// registered after this one are done. Call it first, so it runs last.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	baseline := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if err := testutil.WaitGoroutines(baseline, 0, 5*time.Second); err != nil {
+			t.Error(err)
+		}
+	})
+}
 
 // deployLab stands up one fresh simulated lab with auditing on.
 func deployLab(t *testing.T) (*core.Deployment, string) {
@@ -84,8 +99,9 @@ func exampleDAG(t *testing.T, name string) json.RawMessage {
 // measurement digest-identical to the hardwired cv job on an equally
 // fresh lab — and the same ML normality verdict — then hit the
 // content-keyed cache on resubmission without touching the
-// instrument again.
+// instrument again. Lab A then runs the two-cell campaign_round.json.
 func TestDAGJobMatchesClassicCV(t *testing.T) {
+	checkGoroutines(t)
 	clf, err := dag.ClassifierForSeed(dag.DefaultClassifierSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +130,23 @@ func TestDAGJobMatchesClassicCV(t *testing.T) {
 	}
 	if classic.SHA256 == "" || classic.ClassName == "" {
 		t.Fatalf("classic result incomplete: %+v", classic)
+	}
+
+	// The two-cell round on the same lab: the cv job's 6 mL plus the
+	// round's two 6 mL fills stay within the 20 mL cell.
+	campJob := runJob(t, sA, JobSpec{Tenant: "acl", Kind: KindDAG, DAG: exampleDAG(t, "campaign_round.json")})
+	var camp dag.Result
+	if err := json.Unmarshal(campJob.Result, &camp); err != nil {
+		t.Fatal(err)
+	}
+	analyzed := 0
+	for _, n := range camp.Nodes {
+		if (n.Node == "c1_analyze" || n.Node == "c2_analyze") && n.Points > 0 {
+			analyzed++
+		}
+	}
+	if analyzed != 2 {
+		t.Errorf("campaign round analyzed %d of its 2 cells: %+v", analyzed, camp.Nodes)
 	}
 
 	// DAG path on fresh lab B.
@@ -178,8 +211,10 @@ func TestDAGJobMatchesClassicCV(t *testing.T) {
 	if counts["DispenseSyringePump"] != 2 {
 		t.Errorf("DispenseSyringePump ×%d, want 2 (fills are never cached)", counts["DispenseSyringePump"])
 	}
-	if active := sB.Leases().Active(); len(active) != 0 {
-		t.Fatalf("leaked leases: %+v", active)
+	for _, s := range []*Scheduler{sA, sB} {
+		if active := s.Leases().Active(); len(active) != 0 {
+			t.Fatalf("leaked leases: %+v", active)
+		}
 	}
 }
 
@@ -189,6 +224,7 @@ func TestDAGJobMatchesClassicCV(t *testing.T) {
 // restored — the retrieve payload served from the content-keyed blob
 // store — and an audit journal proving no command re-ran.
 func TestDAGCrashResumeExactlyOnce(t *testing.T) {
+	checkGoroutines(t)
 	d, labDir := deployLab(t)
 	stateDir := filepath.Join(t.TempDir(), "state")
 	connector := &DeploymentConnector{D: d, Host: netsim.HostDGX}

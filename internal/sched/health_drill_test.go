@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"ice/internal/netsim"
 	"ice/internal/potentiostat"
 	"ice/internal/sched/health"
+	"ice/internal/trace"
 	"ice/internal/workflow"
 )
 
@@ -23,8 +25,10 @@ import (
 // and race-detector friendly: the potentiostat wedges mid-acquisition,
 // the acquire budget trips the breaker, the job checkpoint-requeues
 // with its journal intact, the fence aborts the wedged run, a recovery
-// probe closes the breaker, and the job completes exactly once.
+// probe closes the breaker, and the job completes exactly once. The
+// job's trace tells that story, and nothing leaks.
 func TestWedgeDrillEndToEnd(t *testing.T) {
+	checkGoroutines(t)
 	base := t.TempDir()
 	labDir := filepath.Join(base, "lab")
 	if err := os.MkdirAll(labDir, 0o755); err != nil {
@@ -37,10 +41,12 @@ func TestWedgeDrillEndToEnd(t *testing.T) {
 	t.Cleanup(func() { d.Close() })
 	connector := &DeploymentConnector{D: d, Host: netsim.HostDGX}
 
+	tracer := trace.New(trace.WithStore(trace.NewStore(0, 0)))
 	s, err := New(Config{
 		Dir:      filepath.Join(base, "state"),
 		Workers:  2,
 		LeaseTTL: 2 * time.Second,
+		Tracer:   tracer,
 		Health: HealthConfig{
 			ProbeInterval:    100 * time.Millisecond,
 			ProbeTimeout:     500 * time.Millisecond,
@@ -170,8 +176,29 @@ func TestWedgeDrillEndToEnd(t *testing.T) {
 	if !sawRoundTrip {
 		t.Errorf("no open→recover round trip in health snapshot: %+v", s.Health().Snapshot())
 	}
+	w := httptest.NewRecorder()
+	NewGateway(s).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	var hz struct{ Quarantined int }
+	if err := json.NewDecoder(w.Body).Decode(&hz); err != nil || hz.Quarantined != 0 {
+		t.Errorf("healthz reports %d quarantined instruments (%v), want 0", hz.Quarantined, err)
+	}
 	if leases := s.Leases().Active(); len(leases) != 0 {
 		t.Errorf("leaked leases: %+v", leases)
+	}
+
+	// Stop finalises the root span, which carries the requeue and the
+	// health events.
+	s.Stop()
+	events := map[string]bool{}
+	for _, rec := range tracer.Store().Trace(final.TraceID) {
+		for _, ev := range rec.Events {
+			events[ev.Name] = true
+		}
+	}
+	for _, name := range []string{"instrument.quarantine", "instrument.recovered", "sched.requeue"} {
+		if !events[name] {
+			t.Errorf("trace %s has no %s event", final.TraceID, name)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 
 // Connector opens cross-facility handles for one job. The gateway
 // daemon uses a TCP connector towards a real control agent; tests and
-// the smoke target use a Deployment connector over netsim.
+// icegated -selflab use a Deployment connector over netsim.
 type Connector interface {
 	// ConnectSession opens instrument handles (cv jobs).
 	ConnectSession() (*core.RemoteSession, datachan.Share, error)
@@ -34,7 +34,7 @@ type Connector interface {
 }
 
 // DeploymentConnector serves jobs from an in-process netsim
-// Deployment — the shape every test and the smoke target use.
+// Deployment — the shape every test and icegated -selflab use.
 type DeploymentConnector struct {
 	// D is the deployed ICE.
 	D *core.Deployment

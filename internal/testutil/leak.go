@@ -1,5 +1,5 @@
 // Package testutil holds small helpers shared between the repo's
-// tests and the daemons' smoke/chaos drills.
+// tests and the icebench harness (bench/), never the daemons.
 package testutil
 
 import (
@@ -9,11 +9,11 @@ import (
 )
 
 // WaitGoroutines waits (up to wait) for the live goroutine count to
-// settle back to at most baseline+slack after a drill's teardown, and
+// settle back to at most baseline+slack after a run's teardown, and
 // returns an error naming the counts if it never does. It is the
-// shared leak-bound assertion for the gateway, health, and DAG
-// drills: capture runtime.NumGoroutine() before the drill starts,
-// tear everything down, then call this.
+// shared leak-bound assertion of the health, DAG and lab-registry
+// tests and of icebench: capture runtime.NumGoroutine() before the
+// run starts, tear everything down, then call this.
 func WaitGoroutines(baseline, slack int, wait time.Duration) error {
 	deadline := time.Now().Add(wait)
 	for {
