@@ -13,7 +13,7 @@
 // rather than speedup, while the latency-bound rows (pipelining,
 // fleet) still show their wins.
 //
-// With -wire-o it additionally (or, with -o '', exclusively) writes
+// With -wire-o it additionally (or, with an empty -o, exclusively) writes
 // BENCH_wire.json — the control-plane wire-protocol record:
 //
 //   - RPC framing: pipelined small calls over a bandwidth-limited
@@ -24,6 +24,8 @@
 //     comparing how long after instrument release the normality
 //     verdict lands when analysis streams during acquisition vs the
 //     classic retrieve-then-analyze path.
+//
+// Typical runs:
 //
 //	go run ./cmd/benchparallel -o BENCH_parallel.json
 //	go run ./cmd/benchparallel -quick

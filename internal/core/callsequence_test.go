@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ice/internal/campaign"
 	"ice/internal/core"
 	"ice/internal/dag"
+	"ice/internal/datachan"
 	"ice/internal/netsim"
 )
 
@@ -19,7 +22,8 @@ import (
 // Fig. 5's syringe commands, Fig. 6's SP200 pipeline and the campaign's
 // lab-station calls. The notebook, the DAG engine and the campaign
 // executor all drive the same instruments, so a refactor of any of them
-// must leave its list unchanged.
+// must leave its list unchanged. A second list pins the operations
+// each path issues on the data channel.
 
 // deployAudited stands up a fresh ICE with the control agent's audit
 // journal enabled and returns a reader for the journaled calls.
@@ -68,6 +72,53 @@ func assertCalls(t *testing.T, got, want []string) {
 	}
 }
 
+// recordingShare notes every data operation issued through it.
+type recordingShare struct {
+	datachan.Share
+	mu  sync.Mutex
+	ops []string
+}
+
+func (r *recordingShare) note(op string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ops = append(r.ops, op)
+}
+
+func (r *recordingShare) List() ([]datachan.FileInfo, error) { r.note("List"); return r.Share.List() }
+func (r *recordingShare) Stat(name string) (datachan.FileInfo, error) {
+	r.note("Stat")
+	return r.Share.Stat(name)
+}
+func (r *recordingShare) ReadAt(name string, off int64, n int) ([]byte, bool, error) {
+	r.note("ReadAt")
+	return r.Share.ReadAt(name, off, n)
+}
+func (r *recordingShare) ReadAll(name string) ([]byte, error) {
+	r.note("ReadAll")
+	return r.Share.ReadAll(name)
+}
+func (r *recordingShare) ReadAllVerified(name string) ([]byte, error) {
+	r.note("ReadAllVerified")
+	return r.Share.ReadAllVerified(name)
+}
+func (r *recordingShare) Checksum(name string) (string, int64, error) {
+	r.note("Checksum")
+	return r.Share.Checksum(name)
+}
+func (r *recordingShare) WaitFor(substr string, poll, timeout time.Duration) ([]byte, string, error) {
+	r.note("WaitFor")
+	return r.Share.WaitFor(substr, poll, timeout)
+}
+func (r *recordingShare) WaitForContext(ctx context.Context, substr string, poll time.Duration) ([]byte, string, error) {
+	r.note("WaitForContext")
+	return r.Share.WaitForContext(ctx, substr, poll)
+}
+func (r *recordingShare) Watch(interval time.Duration) *datachan.Watcher {
+	r.note("Watch")
+	return r.Share.Watch(interval)
+}
+
 func TestGoldenCallSequenceNotebook(t *testing.T) {
 	dep, calls := deployAudited(t, false)
 	session, mount, err := dep.ConnectFrom(netsim.HostDGX)
@@ -76,7 +127,8 @@ func TestGoldenCallSequenceNotebook(t *testing.T) {
 	}
 	defer session.Close()
 	defer mount.Close()
-	nb, _ := core.BuildCVWorkflow(session, mount, core.PaperCVWorkflowConfig())
+	data := &recordingShare{Share: mount}
+	nb, _ := core.BuildCVWorkflow(session, data, core.PaperCVWorkflowConfig())
 	if err := nb.Execute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +150,7 @@ func TestGoldenCallSequenceNotebook(t *testing.T) {
 		`ACL_JKem.ExitJKemAPI()`,
 		`ACL_SP200.DisconnectSP200()`,
 	})
+	assertCalls(t, data.ops, []string{"WaitForContext", "Checksum"})
 }
 
 func TestGoldenCallSequenceDAG(t *testing.T) {
@@ -116,7 +169,8 @@ func TestGoldenCallSequenceDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &dag.Engine{Spec: spec, Exec: &dag.LabExecutor{Session: session, Mount: mount}}
+	data := &recordingShare{Share: mount}
+	eng := &dag.Engine{Spec: spec, Exec: &dag.LabExecutor{Session: session, Mount: data}}
 	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +195,9 @@ func TestGoldenCallSequenceDAG(t *testing.T) {
 		`ACL_JKem.ExitJKemAPI()`,
 		`ACL_SP200.DisconnectSP200()`,
 	})
+	// The acquire node reads the digest; the retrieve node waits for
+	// the file and checks it.
+	assertCalls(t, data.ops, []string{"Checksum", "WaitForContext", "Checksum"})
 }
 
 func TestGoldenCallSequenceCampaign(t *testing.T) {
@@ -151,7 +208,8 @@ func TestGoldenCallSequenceCampaign(t *testing.T) {
 	}
 	defer session.Close()
 	defer mount.Close()
-	e := &campaign.Executor{Session: session, Mount: mount, CVPoints: 300}
+	data := &recordingShare{Share: mount}
+	e := &campaign.Executor{Session: session, Mount: data, CVPoints: 300}
 	if _, err := e.Run(campaign.ScanRateLadder{RatesMVs: []float64{50, 200}, ConcentrationMM: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,4 +229,5 @@ func TestGoldenCallSequenceCampaign(t *testing.T) {
 		`ACL_SP200.StartChannelSP200()`,
 		`ACL_SP200.GetTechPathRslt()`,
 	})
+	assertCalls(t, data.ops, []string{"WaitForContext", "Checksum", "WaitForContext", "Checksum"})
 }

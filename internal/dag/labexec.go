@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"ice/internal/core"
 	"ice/internal/datachan"
@@ -51,10 +50,6 @@ func ClassifierForSeed(seed int64) (*ml.Ensemble, error) {
 type LabExecutor struct {
 	Session *core.RemoteSession
 	Mount   datachan.Share
-	// WaitPoll/WaitTimeout bound the data-channel wait for a
-	// measurement file (zero selects core.RetrieveVerified's defaults).
-	WaitPoll    time.Duration
-	WaitTimeout time.Duration
 	// Classifier, when set, overrides seed-derived training for
 	// ml-classify nodes (the equivalence test shares one trained
 	// ensemble between the classic and DAG paths this way).
@@ -158,7 +153,7 @@ func (x *LabExecutor) runRetrieve(ctx context.Context, inv *Invocation) (*NodeRe
 	if acq == nil || acq.File == "" {
 		return nil, nil, fmt.Errorf("acquire dependency reported no measurement file")
 	}
-	data, gotName, localSum, err := core.RetrieveVerified(ctx, x.Mount, acq.File, x.WaitPoll, x.WaitTimeout)
+	data, gotName, localSum, err := core.RetrieveVerified(ctx, x.Mount, acq.File, 0, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -65,10 +65,10 @@ type Config struct {
 
 // Topology describes the netsim fabric.
 type Topology struct {
-	Hubs      []Hub      `json:"hubs"`
-	Hosts     []Host     `json:"hosts"`
+	Hubs      []Hub         `json:"hubs"`
+	Hosts     []Host        `json:"hosts"`
 	Gateways  []GatewayLink `json:"gateways,omitempty"`
-	Firewalls []Firewall `json:"firewalls,omitempty"`
+	Firewalls []Firewall    `json:"firewalls,omitempty"`
 }
 
 // Hub is one broadcast domain with link characteristics.

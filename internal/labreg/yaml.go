@@ -369,8 +369,8 @@ func parseScalar(s string, n int) (any, error) {
 	return s, nil
 }
 
-// unquote resolves 'single' (literal, '' escapes a quote) and "double"
-// (Go-style escapes) quoted strings.
+// unquote resolves 'single' (literal, a doubled quote escapes a quote)
+// and "double" (Go-style escapes) quoted strings.
 func unquote(s string) (string, error) {
 	if len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'' {
 		inner := s[1 : len(s)-1]

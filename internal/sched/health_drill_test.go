@@ -61,11 +61,9 @@ func TestWedgeDrillEndToEnd(t *testing.T) {
 	sp := d.Agent.SP200()
 	var wedgeOnce sync.Once
 	s.SetRunner(&LabRunner{
-		Connector:   connector,
-		Leases:      s.Leases(),
-		Dir:         s.Dir(),
-		WaitPoll:    10 * time.Millisecond,
-		WaitTimeout: 30 * time.Second,
+		Connector: connector,
+		Leases:    s.Leases(),
+		Dir:       s.Dir(),
 		// Generous enough that a healthy acquisition never blows it
 		// even under the race detector's overhead; the wedged attempt
 		// still trips it, just 2.5s in.

@@ -356,6 +356,21 @@ func attributeResources(resources []string, cause string) []string {
 	return out
 }
 
+// resourceClass extracts the instrument class from a lease resource
+// name: "sp200/ch1" → "sp200", and with a facility scope,
+// "facA/sp200/ch1" → "sp200" or "labA-sp200/ch1" → "sp200".
+func resourceClass(resource string) string {
+	parts := strings.Split(resource, "/")
+	class := parts[0]
+	if len(parts) >= 2 {
+		class = parts[len(parts)-2]
+	}
+	if i := strings.LastIndexByte(class, '-'); i >= 0 {
+		class = class[i+1:]
+	}
+	return class
+}
+
 // containsResource reports whether rs includes res.
 func containsResource(rs []string, res string) bool {
 	for _, r := range rs {

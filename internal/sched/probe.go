@@ -13,10 +13,113 @@ import (
 	"ice/internal/telemetry"
 )
 
-// LabProber bridges the health supervisor to the lab: it builds cheap
-// status probes and quarantine fences over the gateway's Connector,
-// sharing one lazily-opened pyro session across all probes (opening a
-// control connection per probe would itself stress a sick agent).
+// probeSession is what LabProber and ScanProber share: one lazily
+// dialled control session for all probes and fences (opening a
+// connection per probe would itself stress a sick agent), whose
+// watchdog doubles as the liveness sentinel; the probe and failure
+// counters; and the telemetry source. C is the handle a prober's calls
+// go through.
+type probeSession[C any] struct {
+	mu      sync.Mutex
+	session *core.RemoteSession
+	mount   datachan.Share
+	client  C
+	// probes / failures count outcomes for the telemetry source.
+	probes, failures int64
+}
+
+// acquire returns the shared session and handle, opening them with
+// dial on first use.
+func (p *probeSession[C]) acquire(dial func() (*core.RemoteSession, datachan.Share, C, error)) (*core.RemoteSession, C, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.session == nil {
+		session, mount, client, err := dial()
+		if err != nil {
+			return nil, client, err
+		}
+		session.StartWatchdog(2*time.Second, 3)
+		p.session, p.mount, p.client = session, mount, client
+	}
+	return p.session, p.client, nil
+}
+
+// probe runs one status read, bounded by the supervisor's ProbeTimeout
+// (the deadline is the hang detector), and counts the outcome. With
+// idle set, a half-open recovery probe, the reply must say busy=0: no
+// legitimate holder existed during quarantine, so a busy instrument is
+// a wedged acquisition still draining, and busy is that failure's
+// message. A transport-class failure drops the session so the next
+// probe redials: the session, not the instrument, may be broken.
+func (p *probeSession[C]) probe(dial func() (*core.RemoteSession, datachan.Share, C, error), idle bool, busy string, status func(C) (string, error)) error {
+	_, client, err := p.acquire(dial)
+	if err == nil {
+		var reply string
+		reply, err = status(client)
+		if err == nil && idle && !strings.Contains(reply, "busy=0") {
+			err = fmt.Errorf("%s (%s)", busy, reply)
+		}
+		if err != nil && health.Classify(err) == health.ClassTransport {
+			p.Close()
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.probes++
+	if err != nil {
+		p.failures++
+	}
+	return err
+}
+
+// fence runs a quarantine fence call bound to ctx on the shared
+// handle; a failed fence drops the session.
+func (p *probeSession[C]) fence(ctx context.Context, dial func() (*core.RemoteSession, datachan.Share, C, error), call func(C) (string, error)) {
+	session, client, err := p.acquire(dial)
+	if err != nil {
+		return
+	}
+	session.BindCallContext(ctx)
+	defer session.BindCallContext(context.Background())
+	if _, err := call(client); err != nil {
+		p.Close()
+	}
+}
+
+// Close releases the probe session.
+func (p *probeSession[C]) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.session != nil {
+		p.session.Close()
+		p.mount.Close()
+		var zero C
+		p.session, p.mount, p.client = nil, nil, zero
+	}
+}
+
+// source exposes probe traffic as <prefix>total/failures/connected
+// and, while the session is open, its watchdog's liveness series under
+// sessionPrefix.
+func (p *probeSession[C]) source(prefix, sessionPrefix string) telemetry.Source {
+	return func() map[string]int64 {
+		p.mu.Lock()
+		out := map[string]int64{prefix + "total": p.probes, prefix + "failures": p.failures, prefix + "connected": 0}
+		session := p.session
+		p.mu.Unlock()
+		if session != nil {
+			out[prefix+"connected"] = 1
+			for k, v := range session.HealthSource(sessionPrefix)() {
+				out[k] = v
+			}
+		}
+		return out
+	}
+}
+
+// LabProber bridges the health supervisor to the echem lab: cheap
+// status probes and a quarantine fence over one shared probe session
+// opened through the gateway's Connector.
 //
 //	p := &LabProber{Connector: conn}
 //	sched.RegisterProber(sched.ResourceSP200, p.ProberFor(sched.ResourceSP200))
@@ -25,167 +128,50 @@ import (
 type LabProber struct {
 	// Connector opens the probe session (same connector the runner uses).
 	Connector Connector
-
-	mu      sync.Mutex
-	session *core.RemoteSession
-	mount   datachan.Share
-	// probes / failures count outcomes for the telemetry source.
-	probes, failures int64
+	probeSession[*core.RemoteSession]
 }
 
-// acquireSession returns the shared probe session, dialling on first use.
-func (p *LabProber) acquireSession() (*core.RemoteSession, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.session != nil {
-		return p.session, nil
-	}
+func (p *LabProber) dial() (*core.RemoteSession, datachan.Share, *core.RemoteSession, error) {
 	session, mount, err := p.Connector.ConnectSession()
 	if err != nil {
-		return nil, fmt.Errorf("probe connect: %w", err)
+		return nil, nil, nil, fmt.Errorf("probe connect: %w", err)
 	}
-	// The probe session doubles as the liveness sentinel: its watchdog
-	// heartbeats feed the session.* series HealthSource exports.
-	session.StartWatchdog(2*time.Second, 3)
-	p.session, p.mount = session, mount
-	return session, nil
+	return session, mount, session, nil
 }
 
-// dropSession tears the shared session down so the next probe redials —
-// called after a transport-class probe failure, where the session
-// itself (not the instrument) may be the broken part.
-func (p *LabProber) dropSession() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closeLocked()
-}
-
-func (p *LabProber) closeLocked() {
-	if p.session != nil {
-		p.session.Close()
-		p.session = nil
-	}
-	if p.mount != nil {
-		p.mount.Close()
-		p.mount = nil
-	}
-}
-
-// Close releases the probe session.
-func (p *LabProber) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closeLocked()
-}
-
-// ProberFor builds the health.Prober for one instrument. Probes are
-// cheap status reads bounded by the supervisor's ProbeTimeout — the
-// deadline is the hang detector. A half-open recovery probe for the
-// potentiostat additionally requires the channel to be idle: while the
-// instrument was quarantined no legitimate holder existed, so a busy
-// channel means the wedged acquisition is still draining and the
-// breaker must stay open.
+// ProberFor builds the health.Prober for one instrument: a status read,
+// where a recovery probe of the potentiostat also requires an idle
+// channel (the J-Kem's commands are discrete; it has nothing to drain).
 func (p *LabProber) ProberFor(resource string) health.Prober {
 	class := resourceClass(resource)
 	return func(ctx context.Context, recovering bool) error {
-		session, err := p.acquireSession()
-		if err != nil {
-			p.count(err)
-			return err
-		}
-		switch class {
-		case "sp200":
-			status, err := session.SP200StatusCtx(ctx)
-			if err == nil && recovering && !strings.Contains(status, "busy=0") {
-				err = fmt.Errorf("sp200 recovery probe: channel still busy (%s)", status)
+		idle := recovering && class == "sp200"
+		return p.probe(p.dial, idle, "sp200 recovery probe: channel still busy", func(session *core.RemoteSession) (string, error) {
+			switch class {
+			case "sp200":
+				return session.SP200StatusCtx(ctx)
+			case "jkem":
+				return session.JKemStatusCtx(ctx)
 			}
-			p.afterProbe(err)
-			return err
-		case "jkem":
-			_, err := session.JKemStatusCtx(ctx)
-			p.afterProbe(err)
-			return err
-		default:
-			err := fmt.Errorf("probe: unknown instrument class %q", class)
-			p.count(err)
-			return err
-		}
-	}
-}
-
-// afterProbe counts the outcome and drops the shared session on
-// transport-class failures so the next probe redials fresh.
-func (p *LabProber) afterProbe(err error) {
-	p.count(err)
-	if err != nil && health.Classify(err) == health.ClassTransport {
-		p.dropSession()
-	}
-}
-
-func (p *LabProber) count(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.probes++
-	if err != nil {
-		p.failures++
+			return "", fmt.Errorf("probe: unknown instrument class %q", class)
+		})
 	}
 }
 
 // FenceFor is the quarantine fence: when the potentiostat's breaker
-// opens mid-acquisition the fence aborts the channel, so the wedged
-// run terminates as an explicit ErrAborted partial instead of
-// completing behind the scheduler's back after the job was already
-// checkpoint-requeued (which would double-count against exactly-once
-// accounting). The J-Kem needs no fence: its commands are discrete.
+// opens mid-acquisition it aborts the channel, so the wedged run ends
+// as an explicit ErrAborted partial instead of completing behind the
+// scheduler's back after the job was checkpoint-requeued (which would
+// break exactly-once accounting). Abort is tolerated when no
+// acquisition runs. The J-Kem needs no fence: its commands are discrete.
 func (p *LabProber) FenceFor(ctx context.Context, resource string) {
-	if resourceClass(resource) != "sp200" {
-		return
-	}
-	session, err := p.acquireSession()
-	if err != nil {
-		return
-	}
-	session.BindCallContext(ctx)
-	defer session.BindCallContext(context.Background())
-	// Abort is tolerated when no acquisition is running.
-	if _, err := session.AbortSP200(); err != nil {
-		p.dropSession()
+	if resourceClass(resource) == "sp200" {
+		p.fence(ctx, p.dial, (*core.RemoteSession).AbortSP200)
 	}
 }
 
 // HealthSource exposes probe traffic — and, when the probe session is
 // open, its watchdog's session.* liveness series — to /v1/metrics.
 func (p *LabProber) HealthSource() telemetry.Source {
-	return func() map[string]int64 {
-		p.mu.Lock()
-		out := map[string]int64{
-			"probe.total":     p.probes,
-			"probe.failures":  p.failures,
-			"probe.connected": 0,
-		}
-		session := p.session
-		p.mu.Unlock()
-		if session != nil {
-			out["probe.connected"] = 1
-			for k, v := range session.HealthSource("session.")() {
-				out[k] = v
-			}
-		}
-		return out
-	}
-}
-
-// resourceClass extracts the instrument class from a lease resource
-// name: "sp200/ch1" → "sp200", and with a facility scope,
-// "facA/sp200/ch1" → "sp200" or "labA-sp200/ch1" → "sp200".
-func resourceClass(resource string) string {
-	parts := strings.Split(resource, "/")
-	class := parts[0]
-	if len(parts) >= 2 {
-		class = parts[len(parts)-2]
-	}
-	if i := strings.LastIndexByte(class, '-'); i >= 0 {
-		class = class[i+1:]
-	}
-	return class
+	return p.source("probe.", "session.")
 }

@@ -3,9 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"strings"
-	"sync"
-	"time"
 
 	"ice/internal/core"
 	"ice/internal/datachan"
@@ -14,114 +11,41 @@ import (
 	"ice/internal/telemetry"
 )
 
-// ScanProber is the microscope's LabProber: cheap StatusScan reads
-// over a shared lazily-dialled session, an AbortScan quarantine fence,
-// and a telemetry source. Mirrors LabProber's session lifecycle —
-// including dropping the session after transport-class failures — but
-// heartbeats via StatusScan instead of JKemStatus, since the scan
-// station's daemon exports no echem objects.
+// ScanProber is the microscope's LabProber: StatusScan probes and an
+// AbortScan quarantine fence over the same kind of shared probe
+// session. Its watchdog heartbeats via StatusScan instead of
+// JKemStatus, since the scan station's daemon exports no echem objects.
 type ScanProber struct {
 	// Connector opens the probe session (same connector the runner uses).
 	Connector ScanConnector
-
-	mu      sync.Mutex
-	session *core.RemoteSession
-	client  *microscope.Client
-	mount   datachan.Share
-	// probes / failures count outcomes for the telemetry source.
-	probes, failures int64
+	probeSession[*microscope.Client]
 }
 
-// acquire returns the shared probe client, dialling on first use.
-func (p *ScanProber) acquire() (*microscope.Client, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.client != nil {
-		return p.client, nil
-	}
+func (p *ScanProber) dial() (*core.RemoteSession, datachan.Share, *microscope.Client, error) {
 	session, mount, object, err := p.Connector.ConnectScan()
 	if err != nil {
-		return nil, fmt.Errorf("scan probe connect: %w", err)
+		return nil, nil, nil, fmt.Errorf("scan probe connect: %w", err)
 	}
 	caller, err := session.Object(object, microscope.NonIdempotentScanMethods...)
 	if err != nil {
 		session.Close()
 		mount.Close()
-		return nil, fmt.Errorf("scan probe object: %w", err)
+		return nil, nil, nil, fmt.Errorf("scan probe object: %w", err)
 	}
 	client := microscope.NewClient(caller)
-	// The default watchdog heartbeat pings JKemStatus, which this
-	// station does not export — point it at the scan status instead.
 	session.SetHeartbeat(func() error {
 		_, err := client.Status(context.Background())
 		return err
 	})
-	session.StartWatchdog(2*time.Second, 3)
-	p.session, p.client, p.mount = session, client, mount
-	return client, nil
+	return session, mount, client, nil
 }
 
-// dropSession tears the shared session down so the next probe redials.
-func (p *ScanProber) dropSession() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closeLocked()
-}
-
-func (p *ScanProber) closeLocked() {
-	if p.session != nil {
-		p.session.Close()
-		p.session = nil
-		p.client = nil
-	}
-	if p.mount != nil {
-		p.mount.Close()
-		p.mount = nil
-	}
-}
-
-// Close releases the probe session.
-func (p *ScanProber) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closeLocked()
-}
-
-// Prober builds the health.Prober for the scan instrument. Like the
-// potentiostat's, a half-open recovery probe additionally requires the
-// column to be idle: while quarantined no legitimate holder existed,
-// so a busy scanner means the wedged acquisition is still draining.
+// Prober builds the health.Prober for the scan instrument: a status
+// read, where a recovery probe also requires an idle column.
 func (p *ScanProber) Prober() health.Prober {
 	return func(ctx context.Context, recovering bool) error {
-		client, err := p.acquire()
-		if err != nil {
-			p.count(err)
-			return err
-		}
-		status, err := client.Status(ctx)
-		if err == nil && recovering && !strings.Contains(status, "busy=0") {
-			err = fmt.Errorf("stem recovery probe: scanner still busy (%s)", status)
-		}
-		p.afterProbe(err)
-		return err
-	}
-}
-
-// afterProbe counts the outcome and drops the shared session on
-// transport-class failures so the next probe redials fresh.
-func (p *ScanProber) afterProbe(err error) {
-	p.count(err)
-	if err != nil && health.Classify(err) == health.ClassTransport {
-		p.dropSession()
-	}
-}
-
-func (p *ScanProber) count(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.probes++
-	if err != nil {
-		p.failures++
+		status := func(client *microscope.Client) (string, error) { return client.Status(ctx) }
+		return p.probe(p.dial, recovering, "stem recovery probe: scanner still busy", status)
 	}
 }
 
@@ -130,43 +54,14 @@ func (p *ScanProber) count(err error) {
 // than completing behind the scheduler's back after requeue. Abort is
 // tolerated when nothing is running.
 func (p *ScanProber) Fence(ctx context.Context, resource string) {
-	if resourceClass(resource) != "stem" {
-		return
-	}
-	client, err := p.acquire()
-	if err != nil {
-		return
-	}
-	p.mu.Lock()
-	session := p.session
-	p.mu.Unlock()
-	if session != nil {
-		session.BindCallContext(ctx)
-		defer session.BindCallContext(context.Background())
-	}
-	if _, err := client.Abort(ctx); err != nil {
-		p.dropSession()
+	if resourceClass(resource) == "stem" {
+		p.fence(ctx, p.dial, func(client *microscope.Client) (string, error) { return client.Abort(ctx) })
 	}
 }
 
 // HealthSource exposes scan-probe traffic — and, when the probe
-// session is open, its watchdog's liveness series — to /v1/metrics.
+// session is open, its watchdog's scansession.* liveness series — to
+// /v1/metrics.
 func (p *ScanProber) HealthSource() telemetry.Source {
-	return func() map[string]int64 {
-		p.mu.Lock()
-		out := map[string]int64{
-			"scanprobe.total":     p.probes,
-			"scanprobe.failures":  p.failures,
-			"scanprobe.connected": 0,
-		}
-		session := p.session
-		p.mu.Unlock()
-		if session != nil {
-			out["scanprobe.connected"] = 1
-			for k, v := range session.HealthSource("scansession.")() {
-				out[k] = v
-			}
-		}
-		return out
-	}
+	return p.source("scanprobe.", "scansession.")
 }

@@ -206,9 +206,6 @@ type LabRunner struct {
 	// CampaignCVPoints is the per-round acquisition size for campaign
 	// cells (default 300).
 	CampaignCVPoints int
-	// WaitPoll and WaitTimeout bound cv measurement retrieval.
-	WaitPoll    time.Duration
-	WaitTimeout time.Duration
 	// StreamAnalysis makes cv jobs tail the measurement file during
 	// acquisition and analyze online, so the verdict is ready at
 	// instrument release; stream failures fall back to the classic
@@ -224,15 +221,11 @@ type LabRunner struct {
 	// is journaled, synchronously — crash drills use it to cut the
 	// daemon down at an exact task boundary.
 	OnTask func(jobID string, rec workflow.TaskRecord)
-	// Resources overrides the instrument lease names the runner's gates
-	// contend on (default: the shared sp200/jkem pair). A cluster node
-	// scopes them per facility ("facA/sp200/ch1") so adopted foreign
-	// jobs never collide with local ones in the lease table.
+	// Resources overrides the instrument lease names the echem jobs'
+	// gates contend on (default: the shared sp200/jkem pair). A cluster
+	// node scopes them per facility ("facA/sp200/ch1") so adopted
+	// foreign jobs never collide with local ones in the lease table.
 	Resources []string
-	// ScanResources is the scan-job analogue of Resources (default:
-	// the stem/scan1 lease). Scan jobs never contend on the echem
-	// pair, so the two workloads interleave on one scheduler.
-	ScanResources []string
 	// MirrorJournal, when set, replicates each workflow checkpoint line
 	// to the cluster's peer(s) synchronously — the workflow engine does
 	// not proceed past a task boundary until the checkpoint is
@@ -245,9 +238,6 @@ type LabRunner struct {
 	// lands in CVResult.ClassName) and overrides seed-derived training
 	// for DAG ml-classify nodes.
 	Classifier *ml.Ensemble
-	// DAGWorkers bounds a dag job's concurrent node execution
-	// (default 4).
-	DAGWorkers int
 	// CacheMaxBytes caps the DAG blob cache's object store; least-
 	// recently-used blobs are evicted past the cap (0 = unbounded).
 	CacheMaxBytes int64
@@ -350,25 +340,11 @@ func (r *LabRunner) runCV(ctx context.Context, job Job, emit func(string, string
 	if job.Spec.Points > 0 {
 		cfg.CV.Points = job.Spec.Points
 	}
-	if r.WaitPoll > 0 {
-		cfg.WaitPoll = r.WaitPoll
-	}
-	if r.WaitTimeout > 0 {
-		cfg.WaitTimeout = r.WaitTimeout
-	}
 	cfg.AcquireTimeout = r.phaseBudgets(ctx)
 	cfg.StreamAnalysis = r.StreamAnalysis
 	cfg.Classifier = r.Classifier
 
-	gate := &InstrumentGate{
-		M:         r.Leases,
-		Resources: r.gateResources(job),
-		Holder:    job.ID,
-		TraceCtx:  ctx,
-		OnEvent: func(msg string) {
-			emit("lease", msg)
-		},
-	}
+	gate := r.gate(ctx, job, emit)
 	var unlockOnce sync.Once
 	unlock := func() { unlockOnce.Do(gate.Unlock) }
 	defer unlock()
@@ -466,26 +442,15 @@ func (r *LabRunner) runDAG(ctx context.Context, job Job, emit func(string, strin
 	}
 	defer tee.file.Close()
 
-	gate := &InstrumentGate{
-		M:         r.Leases,
-		Resources: r.gateResources(job),
-		Holder:    job.ID,
-		TraceCtx:  ctx,
-		OnEvent: func(msg string) {
-			emit("lease", msg)
-		},
-	}
+	gate := r.gate(ctx, job, emit)
 
 	eng := &dag.Engine{
 		Spec: spec,
 		Exec: &dag.LabExecutor{
-			Session:     session,
-			Mount:       mount,
-			WaitPoll:    r.WaitPoll,
-			WaitTimeout: r.WaitTimeout,
-			Classifier:  r.Classifier,
+			Session:    session,
+			Mount:      mount,
+			Classifier: r.Classifier,
 		},
-		Workers:    r.DAGWorkers,
 		Journal:    tee,
 		Cache:      cache,
 		Gate:       gate,
@@ -506,14 +471,25 @@ func (r *LabRunner) runDAG(ctx context.Context, job Job, emit func(string, strin
 	return json.Marshal(res)
 }
 
-// gateResources picks the lease names the job's gates contend on: the
-// scheduler's per-job assignment when present (health routing), else
-// the runner-wide default.
-func (r *LabRunner) gateResources(job Job) []string {
-	if len(job.Resources) > 0 {
-		return job.Resources
+// gate builds the job's lease-backed instrument gate. It contends on
+// the scheduler's per-job assignment when present (health routing);
+// else, for a scan job, on the scan lease, so a scan never queues
+// behind a potentiostat it does not use; else on Resources.
+func (r *LabRunner) gate(ctx context.Context, job Job, emit func(string, string)) *InstrumentGate {
+	resources := job.Resources
+	if len(resources) == 0 {
+		resources = r.Resources
+		if job.Spec.Kind == KindScan {
+			resources = []string{ResourceScan}
+		}
 	}
-	return r.Resources
+	return &InstrumentGate{
+		M:         r.Leases,
+		Resources: resources,
+		Holder:    job.ID,
+		TraceCtx:  ctx,
+		OnEvent:   func(msg string) { emit("lease", msg) },
+	}
 }
 
 // phaseBudgets derives the acquire-phase sub-budget. An explicit
@@ -558,15 +534,7 @@ func (r *LabRunner) runCampaign(ctx context.Context, job Job, emit func(string, 
 	if points <= 0 {
 		points = 300
 	}
-	gate := &InstrumentGate{
-		M:         r.Leases,
-		Resources: r.gateResources(job),
-		Holder:    job.ID,
-		TraceCtx:  ctx,
-		OnEvent: func(msg string) {
-			emit("lease", msg)
-		},
-	}
+	gate := r.gate(ctx, job, emit)
 	fleet := &campaign.Fleet{Gate: gate}
 	var cleanups []func()
 	defer func() {

@@ -92,15 +92,7 @@ func (r *LabRunner) runScan(ctx context.Context, job Job, emit func(string, stri
 		maxSteers = 1
 	}
 
-	gate := &InstrumentGate{
-		M:         r.Leases,
-		Resources: r.scanGateResources(job),
-		Holder:    job.ID,
-		TraceCtx:  ctx,
-		OnEvent: func(msg string) {
-			emit("lease", msg)
-		},
-	}
+	gate := r.gate(ctx, job, emit)
 	var unlockOnce sync.Once
 	unlock := func() { unlockOnce.Do(gate.Unlock) }
 	defer unlock()
@@ -144,7 +136,7 @@ func (r *LabRunner) runScan(ctx context.Context, job Job, emit func(string, stri
 		if _, err := client.Start(surveyCtx); err != nil {
 			return fmt.Errorf("start scan: %w", err)
 		}
-		return r.observeTiles(surveyCtx, client, steering, passTiles)
+		return observeTiles(surveyCtx, client, steering, passTiles)
 	}()
 	surveySpan.EndErr(err)
 	if err != nil {
@@ -170,7 +162,7 @@ func (r *LabRunner) runScan(ctx context.Context, job Job, emit func(string, stri
 			}
 			emit("steered", fmt.Sprintf("zoom %d onto %.3f,%.3f+%.3fx%.3f (score %.3f)",
 				steerN+1, dec.Region.X, dec.Region.Y, dec.Region.W, dec.Region.H, dec.BestScore))
-			return r.observeTiles(steerCtx, client, steering, (steerN+2)*passTiles)
+			return observeTiles(steerCtx, client, steering, (steerN+2)*passTiles)
 		}()
 		steerSpan.EndErr(err)
 		if err != nil {
@@ -223,18 +215,15 @@ func (r *LabRunner) runScan(ctx context.Context, job Job, emit func(string, stri
 	return json.Marshal(result)
 }
 
-// observeTiles polls the streamed tiles into the steering classifier
-// until the scan has produced want tiles (the current pass is done).
-func (r *LabRunner) observeTiles(ctx context.Context, client *microscope.Client, steering *microscope.OnlineSteering, want int) error {
-	poll := r.WaitPoll
-	if poll <= 0 {
-		poll = 20 * time.Millisecond
-	}
-	timeout := r.WaitTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
-	deadline := time.Now().Add(timeout)
+// observeTiles polls the streamed tiles into the steering classifier,
+// every tilePoll, until the scan has produced want tiles (the current
+// pass is done) or tileTimeout has passed.
+func observeTiles(ctx context.Context, client *microscope.Client, steering *microscope.OnlineSteering, want int) error {
+	const (
+		tilePoll    = 20 * time.Millisecond
+		tileTimeout = 2 * time.Minute
+	)
+	deadline := time.Now().Add(tileTimeout)
 	for {
 		tiles, err := client.Tiles(ctx, steering.Seen())
 		if err != nil {
@@ -249,12 +238,12 @@ func (r *LabRunner) observeTiles(ctx context.Context, client *microscope.Client,
 		if time.Now().After(deadline) {
 			// The "exceeded its" phrasing is the wedge marker the health
 			// classifier keys on; naming stem attributes the blame.
-			return fmt.Errorf("stem scan phase exceeded its %v budget (%d/%d tiles)", timeout, steering.Seen(), want)
+			return fmt.Errorf("stem scan phase exceeded its %v budget (%d/%d tiles)", tileTimeout, steering.Seen(), want)
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(poll):
+		case <-time.After(tilePoll):
 		}
 	}
 }
@@ -266,20 +255,4 @@ func (r *LabRunner) retrieveVerified(ctx context.Context, mount datachan.Share, 
 		return nil, err
 	}
 	return mount.ReadAllVerified(name)
-}
-
-// scanGateResources picks the lease names a scan job's gate contends
-// on: the scheduler's health assignment first, then the runner-wide
-// override, and — unlike the echem paths, whose gate defaults to the
-// sp200/jkem pair — an explicit scan default, so a scan job on a
-// health-disabled scheduler never queues behind a potentiostat it does
-// not use.
-func (r *LabRunner) scanGateResources(job Job) []string {
-	if len(job.Resources) > 0 {
-		return job.Resources
-	}
-	if len(r.ScanResources) > 0 {
-		return r.ScanResources
-	}
-	return []string{ResourceScan}
 }

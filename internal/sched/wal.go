@@ -271,9 +271,17 @@ func FoldWALRecords(recs []WALRecord) []*Job {
 	return jobs
 }
 
-// applyRecord folds one transition into the job.
+// applyRecord folds one transition into the job. Submit queues a job
+// before it journals the admission, so a worker's RUNNING or terminal
+// record can take a lower Seq than the admission record. A late
+// admission record (attempt 0) still adds what it carries, but it
+// never moves the job back to PENDING.
 func applyRecord(job *Job, rec WALRecord) {
-	job.State = rec.State
+	late := rec.State == StatePending && rec.Attempt == 0 &&
+		(job.State == StateRunning || job.State.Terminal())
+	if !late {
+		job.State = rec.State
+	}
 	if rec.Tenant != "" {
 		job.Tenant = rec.Tenant
 	}

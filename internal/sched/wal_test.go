@@ -174,3 +174,24 @@ func TestWALLatestRecordWins(t *testing.T) {
 		t.Fatalf("folded job = %+v", j)
 	}
 }
+
+// TestFoldLateAdmissionKeepsState folds the order a fast job can leave
+// in the WAL: Submit queues before it journals, so the worker's RUNNING
+// and DONE records take lower sequence numbers than the admission. The
+// admission still supplies the spec, tenant, trace and submit time,
+// but the job stays DONE: a restart must not run it again.
+func TestFoldLateAdmissionKeepsState(t *testing.T) {
+	jobs := FoldWALRecords([]WALRecord{
+		{Seq: 1, Job: "j-000001", State: StateRunning, Attempt: 1, TimeUnixNano: 20},
+		{Seq: 2, Job: "j-000001", State: StateDone, Result: json.RawMessage(`{"ok":true}`), TimeUnixNano: 30},
+		{Seq: 3, Job: "j-000001", Tenant: "acl", State: StatePending, Spec: walSpec("acl"), TraceID: "tr-1", TimeUnixNano: 10},
+	})
+	if len(jobs) != 1 {
+		t.Fatalf("folded %d jobs, want 1", len(jobs))
+	}
+	j := jobs[0]
+	if j.State != StateDone || j.Attempts != 1 || j.Tenant != "acl" || j.Spec.Kind != KindCV ||
+		j.TraceID != "tr-1" || j.SubmittedUnixNano != 10 || string(j.Result) != `{"ok":true}` {
+		t.Fatalf("folded job = %+v, want DONE with the admission's spec", j)
+	}
+}
