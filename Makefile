@@ -38,17 +38,15 @@ bench-parallel:
 bench-parallel-quick:
 	$(GO) run ./cmd/benchparallel -quick -o BENCH_parallel.json
 
-# Regenerate BENCH_wire.json — the v1-vs-v2 framing and streaming-
-# analysis record. The thresholds double as the regression gate: v2
-# must carry at least 2x the RPC throughput of v1 over the saturated
-# control link, and the streamed verdict must land within 10% of the
-# acquisition window after instrument release.
+# Regenerate BENCH_wire.json — the streaming-analysis record. The
+# threshold doubles as the regression gate: the streamed verdict must
+# land within 10% of the acquisition window after instrument release.
 bench-wire:
-	$(GO) run ./cmd/benchparallel -o '' -wire-o BENCH_wire.json -min-wire-speedup 2 -max-stream-lag 0.1
+	$(GO) run ./cmd/benchparallel -o '' -wire-o BENCH_wire.json -max-stream-lag 0.1
 
-# Fast variant for CI smoke, with looser thresholds for noisy runners.
+# Fast variant for CI smoke, with a looser threshold for noisy runners.
 bench-wire-quick:
-	$(GO) run ./cmd/benchparallel -quick -o '' -wire-o BENCH_wire.json -min-wire-speedup 1.5 -max-stream-lag 0.25
+	$(GO) run ./cmd/benchparallel -quick -o '' -wire-o BENCH_wire.json -max-stream-lag 0.25
 
 # icebench, the gateway-to-verdict benchmark BENCHMARK.json declares:
 # every workload's timed run, traced run and probes; results land in

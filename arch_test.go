@@ -46,6 +46,11 @@ var archRules = []archRule{
 		allow: []string{"cmd/workbench/main.go:fig5", "cmd/workbench/main.go:fig6"},
 	},
 	{
+		why:     "control-channel proxies are opened in one place, internal/core's session dial helpers",
+		methods: []string{"DialConfig", "NewReconnectingProxy"},
+		owner:   "internal/core",
+	},
+	{
 		why:     "test helpers stay out of the programs",
 		methods: []string{"ice/internal/testutil"},
 		owner:   "internal/testutil",

@@ -14,16 +14,10 @@
 // fleet) still show their wins.
 //
 // With -wire-o it additionally (or, with an empty -o, exclusively) writes
-// BENCH_wire.json — the control-plane wire-protocol record:
-//
-//   - RPC framing: pipelined small calls over a bandwidth-limited
-//     netsim WAN link with the session pinned to the v1 JSON framing
-//     vs the v2 binary framing (throughput, bytes and allocations per
-//     call);
-//   - streaming analysis: the paper CV acquired with real pacing,
-//     comparing how long after instrument release the normality
-//     verdict lands when analysis streams during acquisition vs the
-//     classic retrieve-then-analyze path.
+// BENCH_wire.json — the streaming-analysis record: the paper CV
+// acquired with real pacing, comparing how long after instrument
+// release the normality verdict lands when analysis streams during
+// acquisition vs the classic retrieve-then-analyze path.
 //
 // Typical runs:
 //
@@ -40,11 +34,9 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"time"
 
 	"ice/internal/campaign"
@@ -52,8 +44,6 @@ import (
 	"ice/internal/datachan"
 	"ice/internal/ml"
 	"ice/internal/netsim"
-	"ice/internal/pyro"
-	"ice/internal/telemetry"
 )
 
 type readaheadResult struct {
@@ -84,14 +74,6 @@ type report struct {
 	EnsembleFit []fitResult       `json:"ensemble_fit"`
 }
 
-type wireRPCResult struct {
-	WireVersion  int     `json:"wire_version"`
-	CallsPerSec  float64 `json:"calls_per_sec"`
-	BytesPerCall float64 `json:"bytes_per_call"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	SpeedupVsV1  float64 `json:"speedup_vs_v1"`
-}
-
 type streamingResult struct {
 	TimeScale          float64 `json:"time_scale"`
 	AcquisitionSeconds float64 `json:"acquisition_seconds"`
@@ -105,7 +87,6 @@ type wireReport struct {
 	GOMAXPROCS int             `json:"gomaxprocs"`
 	GoVersion  string          `json:"go_version"`
 	Quick      bool            `json:"quick"`
-	RPC        []wireRPCResult `json:"rpc"`
 	Streaming  streamingResult `json:"streaming"`
 }
 
@@ -113,7 +94,6 @@ func main() {
 	out := flag.String("o", "BENCH_parallel.json", "parallelism report path ('' skips)")
 	wireOut := flag.String("wire-o", "", "wire-protocol report path ('' skips)")
 	quick := flag.Bool("quick", false, "fewer repetitions and smaller transfers (CI smoke)")
-	minWireSpeedup := flag.Float64("min-wire-speedup", 0, "fail unless v2 RPC throughput beats v1 by this factor (0 disables)")
 	maxStreamLag := flag.Float64("max-stream-lag", 0, "fail if the streamed verdict lags instrument release by more than this fraction of the acquisition (0 disables)")
 	flag.Parse()
 
@@ -143,22 +123,10 @@ func main() {
 			Quick:      *quick,
 		}
 		var err error
-		if wrep.RPC, err = measureWireRPC(*quick); err != nil {
-			log.Fatalf("wire rpc: %v", err)
-		}
 		if wrep.Streaming, err = measureStreaming(*quick); err != nil {
 			log.Fatalf("streaming: %v", err)
 		}
 		writeReport(*wireOut, wrep)
-		if *minWireSpeedup > 0 {
-			v2 := wrep.RPC[len(wrep.RPC)-1]
-			if v2.SpeedupVsV1 < *minWireSpeedup {
-				log.Fatalf("wire regression: v2 speedup %.2fx < required %.2fx", v2.SpeedupVsV1, *minWireSpeedup)
-			}
-			if v1 := wrep.RPC[0]; v2.AllocsPerOp >= v1.AllocsPerOp {
-				log.Fatalf("wire regression: v2 allocs/op %.1f not below v1 %.1f", v2.AllocsPerOp, v1.AllocsPerOp)
-			}
-		}
 		if *maxStreamLag > 0 && wrep.Streaming.StreamLagFraction > *maxStreamLag {
 			log.Fatalf("streaming regression: verdict lag %.1f%% of acquisition > allowed %.1f%%",
 				100*wrep.Streaming.StreamLagFraction, 100**maxStreamLag)
@@ -176,133 +144,6 @@ func writeReport(path string, rep any) {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s\n%s", path, data)
-}
-
-// wireBench is the RPC target for the framing benchmark.
-type wireBench struct{}
-
-func (wireBench) Add(a, b int) int { return a + b }
-
-// measureWireRPC drives pipelined small calls over a netsim WAN whose
-// bottleneck is a 64 kbit/s link — the regime where frame size, not
-// propagation delay or local CPU, sets the call rate (the paper's
-// instrument links are fast, but a saturated control channel degrades
-// to exactly this regime, and it is where framing overhead is the
-// measurable quantity) — once pinned to the v1 JSON framing and once
-// on the v2 binary framing. The 2 ms propagation delay is hidden by
-// the four pipelined workers either way. Bytes per call come from the
-// client's pyro.wire.* counters; allocations per op are the
-// whole-process malloc delta (client and in-process daemon both
-// counted) divided by calls.
-func measureWireRPC(quick bool) ([]wireRPCResult, error) {
-	const workers = 4
-	calls := 250
-	if quick {
-		calls = 80
-	}
-
-	run := func(pin int) (wireRPCResult, error) {
-		network := netsim.New()
-		if err := network.AddHub("wan", 2*time.Millisecond, 8e3); err != nil {
-			return wireRPCResult{}, err
-		}
-		if err := network.AddHost("server", "wan"); err != nil {
-			return wireRPCResult{}, err
-		}
-		if err := network.AddHost("client", "wan"); err != nil {
-			return wireRPCResult{}, err
-		}
-		l, err := network.Listen("server", netsim.PaperPorts.Control)
-		if err != nil {
-			return wireRPCResult{}, err
-		}
-		d := pyro.NewDaemon(l)
-		d.SetAdvertised("server", netsim.PaperPorts.Control)
-		d.MaxWireVersion = pin
-		uri, err := d.Register("Bench", wireBench{})
-		if err != nil {
-			return wireRPCResult{}, err
-		}
-		go d.RequestLoop()
-		defer d.Close()
-
-		metrics := telemetry.NewCollector()
-		proxy, err := pyro.DialConfigured(uri, func(addr string) (net.Conn, error) {
-			return network.Dial("client", addr)
-		}, pyro.DialConfig{MaxWireVersion: pin, Metrics: metrics})
-		if err != nil {
-			return wireRPCResult{}, err
-		}
-		defer proxy.Close()
-
-		call := func() error {
-			var out int
-			if err := proxy.CallInto(&out, "Add", 2, 3); err != nil {
-				return err
-			}
-			if out != 5 {
-				return fmt.Errorf("Add(2,3) = %d", out)
-			}
-			return nil
-		}
-		for i := 0; i < 32; i++ { // warmup: negotiation + pools
-			if err := call(); err != nil {
-				return wireRPCResult{}, err
-			}
-		}
-
-		bytesBase := metrics.CounterValue("pyro.wire.bytes_in") + metrics.CounterValue("pyro.wire.bytes_out")
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		var wg sync.WaitGroup
-		errCh := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < calls; i++ {
-					if err := call(); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		select {
-		case err := <-errCh:
-			return wireRPCResult{}, err
-		default:
-		}
-
-		total := float64(workers * calls)
-		wireBytes := metrics.CounterValue("pyro.wire.bytes_in") + metrics.CounterValue("pyro.wire.bytes_out") - bytesBase
-		return wireRPCResult{
-			WireVersion:  proxy.WireVersion(),
-			CallsPerSec:  round2(total / elapsed.Seconds()),
-			BytesPerCall: round2(float64(wireBytes) / total),
-			AllocsPerOp:  round2(float64(m1.Mallocs-m0.Mallocs) / total),
-		}, nil
-	}
-
-	v1, err := run(1)
-	if err != nil {
-		return nil, fmt.Errorf("v1: %w", err)
-	}
-	v2, err := run(0)
-	if err != nil {
-		return nil, fmt.Errorf("v2: %w", err)
-	}
-	if v1.WireVersion != 1 || v2.WireVersion != 2 {
-		return nil, fmt.Errorf("negotiated versions %d and %d, want 1 and 2", v1.WireVersion, v2.WireVersion)
-	}
-	v1.SpeedupVsV1 = 1
-	v2.SpeedupVsV1 = round2(v2.CallsPerSec / v1.CallsPerSec)
-	return []wireRPCResult{v1, v2}, nil
 }
 
 // measureStreaming runs the paper CV with real acquisition pacing

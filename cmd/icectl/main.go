@@ -47,7 +47,6 @@ func main() {
 	readahead := flag.Int("readahead", datachan.DefaultReadahead, "data channel: chunk requests kept in flight per whole-file read (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "overall command deadline (0 = none), e.g. 15m")
 	reliable := flag.Bool("reliable", false, "retry commands across transport faults with exactly-once semantics")
-	wire := flag.String("wire", "v2", "control-channel framing: v2 negotiates the compact binary protocol (falling back automatically against old agents), v1 pins the legacy JSON framing")
 	streamAnalysis := flag.Bool("stream-analysis", false, "workflow: tail the measurement file during acquisition and classify online, so the verdict is ready when the instrument is released")
 	reliableData := flag.Bool("reliable-data", false, "self-healing data mount: redial the share and resume interrupted transfers from the last verified offset")
 	journalPath := flag.String("journal", "", "workflow: checkpoint task progress to this file")
@@ -93,24 +92,14 @@ func main() {
 		log.Fatal("-dag submits through a scheduling gateway: add -gateway URL")
 	}
 
-	var wireVersion int
-	switch *wire {
-	case "v2", "":
-		wireVersion = 0 // newest: negotiate binary, fall back to JSON
-	case "v1":
-		wireVersion = 1
-	default:
-		log.Fatalf("unknown -wire %q (want v1 or v2)", *wire)
-	}
-
 	uri := pyro.URI{Object: core.JKemObject, Host: *agentHost, Port: *controlPort}
-	sessionOpts := core.SessionOptions{Token: *token, WireVersion: wireVersion}
+	sessionOpts := core.SessionOptions{Token: *token}
 	var session *core.RemoteSession
 	if *reliable {
 		session = core.ConnectSessionReliable(uri, nil, sessionOpts)
 	} else {
 		var err error
-		session, err = core.ConnectSessionOpts(uri, nil, sessionOpts)
+		session, err = core.ConnectSession(uri, nil, sessionOpts)
 		if err != nil {
 			log.Fatalf("control channel: %v", err)
 		}
@@ -263,7 +252,7 @@ func main() {
 	case "campaign":
 		// Requires the agent to run with -lab.
 		if *fleetN <= 1 {
-			lab, err := core.ConnectLabSessionToken(uri, nil, *token)
+			lab, err := core.ConnectLabSession(uri, nil, *token)
 			if err != nil {
 				log.Fatalf("lab stations unreachable (start the agent with -lab): %v", err)
 			}
@@ -293,7 +282,7 @@ func main() {
 		// fleet maps the concentration–peak curve, not one point N times.
 		fleet := &campaign.Fleet{History: &campaign.SharedHistory{}}
 		for i := 0; i < *fleetN; i++ {
-			lab, err := core.ConnectLabSessionToken(uri, nil, *token)
+			lab, err := core.ConnectLabSession(uri, nil, *token)
 			if err != nil {
 				log.Fatalf("fleet cell %d: lab stations unreachable (start the agent with -lab): %v", i+1, err)
 			}

@@ -68,7 +68,6 @@ func main() {
 	token := flag.String("token", "", "control-channel credential (must match the agent's -token)")
 	reliable := flag.Bool("reliable", false, "retry instrument commands across transport faults with exactly-once semantics")
 	reliableData := flag.Bool("reliable-data", false, "self-healing data mount: redial and resume interrupted transfers")
-	wire := flag.String("wire", "v2", "control-channel framing towards the agent: v2 negotiates the compact binary protocol (falling back against old agents), v1 pins the legacy JSON framing")
 	streamAnalysis := flag.Bool("stream-analysis", false, "cv jobs: tail the measurement file during acquisition and analyze online, so the verdict is ready at instrument release")
 
 	traceExport := flag.String("trace-export", "", "append finished trace spans to this JSONL file (crash-safe batched writes; view with icetrace)")
@@ -80,16 +79,6 @@ func main() {
 	peerLabs := assignments{}
 	flag.Var(peerLabs, "peer-lab", "federated cluster: a peer facility's lab address as facility=host:port, dialed as the failover fencing probe (repeatable; omitted = never adopt that peer's jobs)")
 	flag.Parse()
-
-	var wireVersion int
-	switch *wire {
-	case "v2", "":
-		wireVersion = 0 // newest: negotiate binary, fall back to JSON
-	case "v1":
-		wireVersion = 1
-	default:
-		log.Fatalf("unknown -wire %q (want v1 or v2)", *wire)
-	}
 
 	var connector sched.Connector
 	var labFacility *labreg.Facility
@@ -144,7 +133,6 @@ func main() {
 			Token:        *token,
 			Reliable:     *reliable,
 			ReliableData: *reliableData,
-			WireVersion:  wireVersion,
 		}
 	default:
 		log.Fatal("need a lab: -selflab, -agent HOST, or -lab CONFIG")

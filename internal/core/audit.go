@@ -137,11 +137,10 @@ func ReplayJournal(entries []AuditEntry, daemonURI pyro.URI, dialer pyro.Dialer,
 		p, ok := proxies[e.Object]
 		if !ok {
 			var err error
-			p, err = pyro.DialToken(daemonURI.WithObject(e.Object), dialer, token)
+			p, err = dialProxy(daemonURI.WithObject(e.Object), dialer, SessionOptions{Token: token}, 10*time.Minute)
 			if err != nil {
 				return results, fmt.Errorf("core: replay dial %s: %w", e.Object, err)
 			}
-			p.Timeout = 10 * time.Minute
 			proxies[e.Object] = p
 		}
 		args := make([]any, len(e.Args))

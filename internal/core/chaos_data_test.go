@@ -11,6 +11,7 @@ import (
 	"ice/internal/datachan"
 	"ice/internal/netsim"
 	"ice/internal/telemetry"
+	"ice/internal/testutil"
 )
 
 // dataChaosSeed is a fixed fault-generator seed under which the 20%
@@ -177,8 +178,10 @@ func TestChaosDataWatcherExactlyOnceAcrossOutage(t *testing.T) {
 
 	write := func(name string) {
 		t.Helper()
+		// Published atomically: a 5 ms poll must never list a
+		// half-written file, or it reports it Created then Modified.
 		path := filepath.Join(d.Agent.MeasurementDir(), name)
-		if err := os.WriteFile(path, []byte("measurement "+name), 0o644); err != nil {
+		if err := testutil.WriteAtomic(path, []byte("measurement "+name)); err != nil {
 			t.Fatal(err)
 		}
 	}

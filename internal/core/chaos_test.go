@@ -140,62 +140,6 @@ func TestChaosExactlyOnceUnderReplyLoss(t *testing.T) {
 	}
 }
 
-// chaosSeedV1 is the fault seed for the v1-pinned framing drill. The
-// JSON frames are larger than v2's, so the loss schedule that hits a
-// marked command's reply differs per framing and each gets its own
-// proven seed.
-const chaosSeedV1 = 2
-
-// TestChaosExactlyOnceV1Framing re-runs the reply-loss drill with the
-// session pinned to the v1 JSON framing: exactly-once dedup semantics
-// must hold identically on both wire versions.
-func TestChaosExactlyOnceV1Framing(t *testing.T) {
-	d := deploy(t)
-	metrics := telemetry.NewCollector()
-	d.Network.SetSeed(chaosSeedV1)
-	d.Network.SetMetrics(metrics)
-	d.Agent.Daemon().SetMetrics(metrics)
-	if err := d.Network.SetHubFaults(netsim.HubSite, netsim.FaultSpec{
-		Loss:      0.20,
-		ReplyOnly: true,
-		Ports:     []int{netsim.PaperPorts.Control},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	session, mount, err := d.ConnectReliableFrom(netsim.HostDGX, SessionOptions{
-		MaxRetries:  30,
-		Backoff:     2 * time.Millisecond,
-		Metrics:     metrics,
-		WireVersion: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer session.Close()
-	defer mount.Close()
-	outcome := runCVWorkflow(t, d, session)
-
-	if v := d.Agent.Cell().Snapshot().Volume.Milliliters(); math.Abs(v-6) > 1e-9 {
-		t.Errorf("cell volume under chaos = %v mL, want exactly 6", v)
-	}
-	if n := countSBCCommands(d, "SYRINGEPUMP_DISPENSE"); n != 1 {
-		t.Errorf("SBC saw %d dispense commands, want exactly 1", n)
-	}
-	if len(outcome.Records) == 0 || outcome.SHA256 == "" {
-		t.Errorf("outcome: %d records, sha %q", len(outcome.Records), outcome.SHA256)
-	}
-	if v := metrics.CounterValue("pyro.retries"); v == 0 {
-		t.Error("no retries counted under 20% reply loss")
-	}
-	if v := metrics.CounterValue("pyro.dedup_hits"); v == 0 {
-		t.Error("no dedup hits: no marked command had its reply lost (pick a different chaosSeedV1)")
-	}
-	// The framing actually was v1: no binary frames were negotiated.
-	if v := metrics.CounterValue("pyro.wire.frames_out"); v == 0 {
-		t.Error("wire telemetry missing — counters not plumbed through the reliable session")
-	}
-}
-
 // TestChaosStreamingDigestVerifiedUnderLoss turns streaming analysis
 // on with 20% reply loss on BOTH the control and data ports: the
 // tail-read rides the reliable mount's redials, the streamed bytes

@@ -75,7 +75,7 @@ func Deploy(dir string, timeScale float64) (*Deployment, error) {
 // host (normally netsim.HostDGX).
 func (d *Deployment) ConnectFrom(host string) (*RemoteSession, *datachan.Mount, error) {
 	dialer := d.Network.Dialer(host)
-	session, err := ConnectSession(d.DaemonURI, pyro.Dialer(dialer))
+	session, err := ConnectSession(d.DaemonURI, pyro.Dialer(dialer), SessionOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -127,7 +127,7 @@ func (d *Deployment) AttachLab(seed int64, timeScale float64) error {
 // synthesis + robot) and data mount from the named host.
 func (d *Deployment) ConnectLabFrom(host string) (*LabSession, *datachan.Mount, error) {
 	dialer := pyro.Dialer(d.Network.Dialer(host))
-	session, err := ConnectLabSession(d.DaemonURI, dialer)
+	session, err := ConnectLabSession(d.DaemonURI, dialer, "")
 	if err != nil {
 		return nil, nil, err
 	}

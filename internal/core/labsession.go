@@ -17,31 +17,26 @@ type LabSession struct {
 }
 
 // ConnectLabSession dials the instrument objects plus the extended lab
-// stations.
-func ConnectLabSession(daemonURI pyro.URI, dialer pyro.Dialer) (*LabSession, error) {
-	return ConnectLabSessionToken(daemonURI, dialer, "")
-}
-
-// ConnectLabSessionToken is ConnectLabSession presenting the control
-// channel's shared-secret credential.
-func ConnectLabSessionToken(daemonURI pyro.URI, dialer pyro.Dialer, token string) (*LabSession, error) {
-	base, err := ConnectSessionToken(daemonURI, dialer, token)
+// stations, presenting token (empty for none) as the control channel's
+// shared-secret credential.
+func ConnectLabSession(daemonURI pyro.URI, dialer pyro.Dialer, token string) (*LabSession, error) {
+	opts := SessionOptions{Token: token}
+	base, err := ConnectSession(daemonURI, dialer, opts)
 	if err != nil {
 		return nil, err
 	}
-	synth, err := pyro.DialToken(daemonURI.WithObject(SynthesisObject), dialer, token)
+	// Synthesis can take a while.
+	synth, err := dialProxy(daemonURI.WithObject(SynthesisObject), dialer, opts, 10*time.Minute)
 	if err != nil {
 		base.Close()
 		return nil, fmt.Errorf("core: connect synthesis object: %w", err)
 	}
-	rob, err := pyro.DialToken(daemonURI.WithObject(RobotObject), dialer, token)
+	rob, err := dialProxy(daemonURI.WithObject(RobotObject), dialer, opts, 10*time.Minute)
 	if err != nil {
 		base.Close()
 		synth.Close()
 		return nil, fmt.Errorf("core: connect robot object: %w", err)
 	}
-	synth.Timeout = 10 * time.Minute // synthesis can take a while
-	rob.Timeout = 10 * time.Minute
 	return &LabSession{RemoteSession: base, synth: synth, robot: rob}, nil
 }
 

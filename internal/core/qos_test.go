@@ -174,14 +174,14 @@ func TestAuthGatedControlChannel(t *testing.T) {
 
 	// Without the badge: the session either fails to connect or fails
 	// on first use.
-	if s, err := ConnectSession(uri, dialer); err == nil {
+	if s, err := ConnectSession(uri, dialer, SessionOptions{}); err == nil {
 		if _, err := s.JKemStatus(); err == nil {
 			t.Error("unauthenticated session worked")
 		}
 		s.Close()
 	}
 	// With the badge: full access.
-	s, err := ConnectSessionToken(uri, dialer, "ornl-access-badge")
+	s, err := ConnectSession(uri, dialer, SessionOptions{Token: "ornl-access-badge"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAuthGatedControlChannel(t *testing.T) {
 func TestNameServerResolvesInstruments(t *testing.T) {
 	d := deploy(t)
 	dialer := pyro.Dialer(d.Network.Dialer(netsim.HostDGX))
-	nsProxy, err := pyro.Dial(d.DaemonURI.WithObject(pyro.NSObjectName), dialer)
+	nsProxy, err := pyro.Dial(d.DaemonURI.WithObject(pyro.NSObjectName), dialer, pyro.DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type RemoteSession struct {
 	// Generic-object support: labreg facilities export instruments
 	// beyond the classic pair (scan-steering microscopes), reached by
 	// lazily-dialed proxies keyed on export name. The dial parameters
-	// are remembered from ConnectSession*/ConnectSessionReliable.
+	// are remembered from ConnectSession/ConnectSessionReliable.
 	objMu     sync.Mutex
 	objects   map[string]pyro.Caller
 	daemonURI pyro.URI
@@ -158,52 +158,67 @@ var NonIdempotentSP200Methods = []string{
 	"RetainMeasurements",
 }
 
-// ConnectSession dials both instrument objects on the control agent's
-// daemon (workflow task A). dialer may be nil for plain TCP.
-func ConnectSession(daemonURI pyro.URI, dialer pyro.Dialer) (*RemoteSession, error) {
-	return ConnectSessionToken(daemonURI, dialer, "")
-}
-
-// ConnectSessionToken is ConnectSession presenting the control
-// channel's shared-secret credential.
-func ConnectSessionToken(daemonURI pyro.URI, dialer pyro.Dialer, token string) (*RemoteSession, error) {
-	return ConnectSessionOpts(daemonURI, dialer, SessionOptions{Token: token})
-}
-
-// ConnectSessionOpts is ConnectSessionToken with the full connection
-// configuration of SessionOptions — wire-version cap and telemetry
-// alongside the credential — for plain (non-reconnecting) sessions.
-func ConnectSessionOpts(daemonURI pyro.URI, dialer pyro.Dialer, opts SessionOptions) (*RemoteSession, error) {
-	cfg := pyro.DialConfig{Token: opts.Token, MaxWireVersion: opts.WireVersion, Metrics: opts.Metrics}
-	jk, err := pyro.DialConfigured(daemonURI.WithObject(JKemObject), dialer, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: connect J-Kem object: %w", err)
-	}
-	sp, err := pyro.DialConfigured(daemonURI.WithObject(SP200Object), dialer, cfg)
-	if err != nil {
-		jk.Close()
-		return nil, fmt.Errorf("core: connect SP200 object: %w", err)
-	}
-	jk.Timeout = 30 * time.Second
-	sp.Timeout = 10 * time.Minute // acquisition waits happen over this proxy
-	return &RemoteSession{jkem: jk, sp200: sp, daemonURI: daemonURI, dialer: dialer, opts: opts}, nil
-}
-
-// SessionOptions tunes a reliable session's retry behavior.
+// SessionOptions tunes a session's connections.
 type SessionOptions struct {
 	// Token is the control channel's shared-secret credential.
 	Token string
-	// MaxRetries bounds redials per call (0 = the proxy default).
+	// MaxRetries bounds redials per call on a reliable session (0 = the
+	// proxy default).
 	MaxRetries int
-	// Backoff is the initial redial delay (0 = the proxy default).
+	// Backoff is the initial redial delay on a reliable session (0 =
+	// the proxy default).
 	Backoff time.Duration
 	// Metrics receives "pyro.retries" / "pyro.redials" counts and, on
 	// every dialed connection, the "pyro.wire.*" framing counters.
 	Metrics *telemetry.Collector
-	// WireVersion caps the RPC framing offered on each dial: 0
-	// negotiates the newest (binary v2), 1 pins v1 JSON for mixed
-	// deployments with pre-v2 agents.
-	WireVersion int
+}
+
+// dialProxy dials one plain proxy on uri with the session's credential
+// and wire counters; every plain control-channel proxy core opens
+// comes from here.
+func dialProxy(uri pyro.URI, dialer pyro.Dialer, opts SessionOptions, timeout time.Duration) (*pyro.Proxy, error) {
+	p, err := pyro.Dial(uri, dialer, pyro.DialConfig{Token: opts.Token, Metrics: opts.Metrics})
+	if err != nil {
+		return nil, err
+	}
+	p.Timeout = timeout
+	return p, nil
+}
+
+// reconnectingProxy builds one lazily dialed, self-healing proxy on uri
+// whose marked methods carry exactly-once call IDs; every reconnecting
+// proxy core opens comes from here.
+func reconnectingProxy(uri pyro.URI, dialer pyro.Dialer, opts SessionOptions, timeout time.Duration, marked []string) *pyro.ReconnectingProxy {
+	p := pyro.NewReconnectingProxy(uri, dialer, opts.Token)
+	p.Timeout = timeout
+	if opts.MaxRetries > 0 {
+		p.MaxRetries = opts.MaxRetries
+	}
+	if opts.Backoff > 0 {
+		p.Backoff = opts.Backoff
+	}
+	if opts.Metrics != nil {
+		p.SetMetrics(opts.Metrics)
+	}
+	p.MarkExactlyOnce(marked...)
+	return p
+}
+
+// ConnectSession dials both instrument objects on the control agent's
+// daemon (workflow task A) over plain proxies. dialer may be nil for
+// plain TCP.
+func ConnectSession(daemonURI pyro.URI, dialer pyro.Dialer, opts SessionOptions) (*RemoteSession, error) {
+	jk, err := dialProxy(daemonURI.WithObject(JKemObject), dialer, opts, 30*time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("core: connect J-Kem object: %w", err)
+	}
+	// Acquisition waits happen over the SP200 proxy.
+	sp, err := dialProxy(daemonURI.WithObject(SP200Object), dialer, opts, 10*time.Minute)
+	if err != nil {
+		jk.Close()
+		return nil, fmt.Errorf("core: connect SP200 object: %w", err)
+	}
+	return &RemoteSession{jkem: jk, sp200: sp, daemonURI: daemonURI, dialer: dialer, opts: opts}, nil
 }
 
 // ConnectSessionReliable opens a session over reconnecting proxies:
@@ -214,24 +229,8 @@ type SessionOptions struct {
 // instead of dispensing twice. The proxies dial lazily: configuration
 // errors surface on the first call.
 func ConnectSessionReliable(daemonURI pyro.URI, dialer pyro.Dialer, opts SessionOptions) *RemoteSession {
-	build := func(object string, timeout time.Duration, marked []string) *pyro.ReconnectingProxy {
-		p := pyro.NewReconnectingProxy(daemonURI.WithObject(object), dialer, opts.Token)
-		p.Timeout = timeout
-		if opts.MaxRetries > 0 {
-			p.MaxRetries = opts.MaxRetries
-		}
-		if opts.Backoff > 0 {
-			p.Backoff = opts.Backoff
-		}
-		if opts.Metrics != nil {
-			p.SetMetrics(opts.Metrics)
-		}
-		p.MaxWireVersion = opts.WireVersion
-		p.MarkExactlyOnce(marked...)
-		return p
-	}
-	jk := build(JKemObject, 30*time.Second, NonIdempotentJKemMethods)
-	sp := build(SP200Object, 10*time.Minute, NonIdempotentSP200Methods)
+	jk := reconnectingProxy(daemonURI.WithObject(JKemObject), dialer, opts, 30*time.Second, NonIdempotentJKemMethods)
+	sp := reconnectingProxy(daemonURI.WithObject(SP200Object), dialer, opts, 10*time.Minute, NonIdempotentSP200Methods)
 	return &RemoteSession{jkem: jk, sp200: sp, daemonURI: daemonURI, dialer: dialer, opts: opts, reliable: true}
 }
 
@@ -250,29 +249,16 @@ func (s *RemoteSession) Object(name string, nonIdempotent ...string) (pyro.Calle
 	if s.daemonURI.Host == "" {
 		return nil, fmt.Errorf("core: session has no daemon address for object %q", name)
 	}
+	// Acquisition-style waits happen on these objects too.
+	uri := s.daemonURI.WithObject(name)
 	var caller pyro.Caller
 	if s.reliable {
-		p := pyro.NewReconnectingProxy(s.daemonURI.WithObject(name), s.dialer, s.opts.Token)
-		p.Timeout = 10 * time.Minute // acquisition-style waits happen here too
-		if s.opts.MaxRetries > 0 {
-			p.MaxRetries = s.opts.MaxRetries
-		}
-		if s.opts.Backoff > 0 {
-			p.Backoff = s.opts.Backoff
-		}
-		if s.opts.Metrics != nil {
-			p.SetMetrics(s.opts.Metrics)
-		}
-		p.MaxWireVersion = s.opts.WireVersion
-		p.MarkExactlyOnce(nonIdempotent...)
-		caller = p
+		caller = reconnectingProxy(uri, s.dialer, s.opts, 10*time.Minute, nonIdempotent)
 	} else {
-		cfg := pyro.DialConfig{Token: s.opts.Token, MaxWireVersion: s.opts.WireVersion, Metrics: s.opts.Metrics}
-		p, err := pyro.DialConfigured(s.daemonURI.WithObject(name), s.dialer, cfg)
+		p, err := dialProxy(uri, s.dialer, s.opts, 10*time.Minute)
 		if err != nil {
 			return nil, fmt.Errorf("core: connect object %q: %w", name, err)
 		}
-		p.Timeout = 10 * time.Minute
 		caller = p
 	}
 	if s.objects == nil {

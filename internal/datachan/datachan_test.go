@@ -10,6 +10,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ice/internal/testutil"
 )
 
 // startShare exports a temp directory over loopback TCP and returns
@@ -32,25 +34,6 @@ func startShare(t *testing.T) (string, *Mount) {
 	m := NewMount(conn)
 	t.Cleanup(func() { m.Close() })
 	return dir, m
-}
-
-// writeAtomic publishes a file on a share the way a finished export
-// appears: written outside the shared directory, then renamed in, so a
-// watcher or WaitFor polling the share never lists it half-written.
-// Tests that grow a file in place on purpose write it directly.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(filepath.Dir(path)), ".publish-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 func TestListStatRead(t *testing.T) {
@@ -228,7 +211,7 @@ func TestWaitForStableFile(t *testing.T) {
 	// Simulate streaming: grow the file in the background, then stop.
 	go func() {
 		path := filepath.Join(dir, "CV_ch1_run001.mpt")
-		writeAtomic(path, []byte("chunk0\n"))
+		testutil.WriteAtomic(path, []byte("chunk0\n"))
 		for i := 1; i <= 3; i++ {
 			time.Sleep(10 * time.Millisecond)
 			f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"ice/internal/testutil"
 )
 
 // TestRoundTripPoisonsOnShortRead injects a reply that promises more
@@ -100,7 +102,7 @@ func TestWatcherSurvivesTransientListError(t *testing.T) {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeAtomic(filepath.Join(dir, "after.mpt"), []byte("recovered")); err != nil {
+	if err := testutil.WriteAtomic(filepath.Join(dir, "after.mpt"), []byte("recovered")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,7 +149,7 @@ func TestWaitForToleratesTransientListErrors(t *testing.T) {
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		os.Mkdir(dir, 0o755)
-		writeAtomic(filepath.Join(dir, "late.mpt"), []byte("finally here\n"))
+		testutil.WriteAtomic(filepath.Join(dir, "late.mpt"), []byte("finally here\n"))
 	}()
 	data, name, err := m.WaitFor("late", 10*time.Millisecond, 5*time.Second)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ice/internal/telemetry"
+	"ice/internal/testutil"
 )
 
 // flakyConn fails every Read after roughly budget bytes have been
@@ -106,12 +107,12 @@ func (h *reliableHarness) killActive() {
 	}
 }
 
-// write publishes a file on the share atomically (see writeAtomic).
+// write publishes a file on the share atomically (see testutil.WriteAtomic).
 // It may run on a goroutine other than the test's, so it reports
 // failure with Error rather than Fatal.
 func (h *reliableHarness) write(t *testing.T, name string, data []byte) {
 	t.Helper()
-	if err := writeAtomic(filepath.Join(h.dir, name), data); err != nil {
+	if err := testutil.WriteAtomic(filepath.Join(h.dir, name), data); err != nil {
 		t.Error(err)
 	}
 }

@@ -335,7 +335,7 @@ func (f *Facility) ConnectSession() (*core.RemoteSession, datachan.Share, error)
 	if st == nil {
 		return nil, nil, fmt.Errorf("labreg: facility %s has no echem station", f.Config.Facility)
 	}
-	session, err := core.ConnectSessionToken(f.stationURI(st), f.dialer(), f.opts.AuthToken)
+	session, err := core.ConnectSession(f.stationURI(st), f.dialer(), core.SessionOptions{Token: f.opts.AuthToken})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -354,7 +354,7 @@ func (f *Facility) ConnectLab() (*core.LabSession, datachan.Share, error) {
 	if st == nil {
 		return nil, nil, fmt.Errorf("labreg: facility %s has no echem station", f.Config.Facility)
 	}
-	session, err := core.ConnectLabSessionToken(f.stationURI(st), f.dialer(), f.opts.AuthToken)
+	session, err := core.ConnectLabSession(f.stationURI(st), f.dialer(), f.opts.AuthToken)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -377,7 +377,7 @@ func (f *Facility) ConnectScan() (*core.RemoteSession, datachan.Share, string, e
 	if st == nil {
 		return nil, nil, "", fmt.Errorf("labreg: facility %s has no scan station", f.Config.Facility)
 	}
-	session, err := core.ConnectSessionToken(f.stationURI(st), f.dialer(), f.opts.AuthToken)
+	session, err := core.ConnectSession(f.stationURI(st), f.dialer(), core.SessionOptions{Token: f.opts.AuthToken})
 	if err != nil {
 		return nil, nil, "", err
 	}

@@ -26,7 +26,7 @@ func startAuthDaemon(t *testing.T, token string) (URI, func()) {
 func TestAuthTokenAccepted(t *testing.T) {
 	uri, stop := startAuthDaemon(t, "lab-secret")
 	defer stop()
-	p, err := DialToken(uri, nil, "lab-secret")
+	p, err := Dial(uri, nil, DialConfig{Token: "lab-secret"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestWrongTokenRejected(t *testing.T) {
 	// Wrong and missing tokens: the daemon drops the connection; the
 	// first call (or the handshake response read) fails.
 	for _, token := range []string{"wrong", ""} {
-		p, err := DialToken(uri, nil, token)
+		p, err := Dial(uri, nil, DialConfig{Token: token})
 		if err != nil {
 			continue // rejected during handshake — fine
 		}
@@ -58,7 +58,7 @@ func TestWrongTokenRejected(t *testing.T) {
 func TestOpenDaemonIgnoresTokens(t *testing.T) {
 	uri, stop := startAuthDaemon(t, "") // no auth required
 	defer stop()
-	p, err := DialToken(uri, nil, "anything")
+	p, err := Dial(uri, nil, DialConfig{Token: "anything"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package pyro
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"testing"
 )
@@ -21,12 +20,6 @@ func (benchServer) Sum(xs []float64) float64 {
 }
 
 func benchProxy(b *testing.B) *Proxy {
-	return benchProxyMax(b, 0)
-}
-
-// benchProxyMax is benchProxy with a pinned wire-version cap, for
-// v1-vs-v2 comparison benchmarks.
-func benchProxyMax(b *testing.B, max int) *Proxy {
 	b.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,7 +32,7 @@ func benchProxyMax(b *testing.B, max int) *Proxy {
 	}
 	go d.RequestLoop()
 	b.Cleanup(func() { d.Close() })
-	p, err := DialConfigured(uri, nil, DialConfig{MaxWireVersion: max})
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,38 +41,30 @@ func benchProxyMax(b *testing.B, max int) *Proxy {
 }
 
 // BenchmarkCallVoid measures the minimum RPC round trip over loopback
-// TCP (no netsim shaping), per framing version.
+// TCP (no netsim shaping).
 func BenchmarkCallVoid(b *testing.B) {
-	for _, v := range []int{1, 2} {
-		b.Run(fmt.Sprintf("wire_v%d", v), func(b *testing.B) {
-			p := benchProxyMax(b, v)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Call("Ping"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p := benchProxy(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Call("Ping"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkCallEcho1K measures a 1 KiB string argument + result.
 func BenchmarkCallEcho1K(b *testing.B) {
 	payload := string(make([]byte, 1024))
-	for _, v := range []int{1, 2} {
-		b.Run(fmt.Sprintf("wire_v%d", v), func(b *testing.B) {
-			p := benchProxyMax(b, v)
-			b.SetBytes(2048)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var out string
-				if err := p.CallInto(&out, "Echo", payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p := benchProxy(b)
+	b.SetBytes(2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out string
+		if err := p.CallInto(&out, "Echo", payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -87,95 +72,73 @@ func BenchmarkCallEcho1K(b *testing.B) {
 // shape of measurement-array arguments.
 func BenchmarkCallSliceArg(b *testing.B) {
 	xs := make([]float64, 512)
-	for _, v := range []int{1, 2} {
-		b.Run(fmt.Sprintf("wire_v%d", v), func(b *testing.B) {
-			p := benchProxyMax(b, v)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var out float64
-				if err := p.CallInto(&out, "Sum", xs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p := benchProxy(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out float64
+		if err := p.CallInto(&out, "Sum", xs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkEncodeFrame isolates the codec cost (no network): one
-// representative request encoded per framing.
+// representative request encoded.
 func BenchmarkEncodeFrame(b *testing.B) {
 	req := request{ID: 1234, CallID: "bench-77", Object: "ACL_SP200", Method: "StartChannelSP200",
 		TP:   "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
 		Args: []json.RawMessage{json.RawMessage(`1`), json.RawMessage(`{"scan_rate":0.05}`)}}
-	b.Run("wire_v1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(&req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("wire_v2", func(b *testing.B) {
-		b.ReportAllocs()
-		buf := make([]byte, 0, 256)
-		for i := 0; i < b.N; i++ {
-			buf = appendRequestV2(buf[:0], &req)
-		}
-	})
+	b.ReportAllocs()
+	buf := make([]byte, 0, 256)
+	for i := 0; i < b.N; i++ {
+		buf = appendRequestV2(buf[:0], &req)
+	}
 }
 
 // TestAllocsPerRPCRegression is the allocation regression gate of the
-// v2 framing: a binary round trip must allocate strictly less than the
-// same call over v1 JSON, and must stay under an absolute budget so
+// binary framing: a round trip must stay under an absolute budget so
 // codec regressions fail CI rather than only showing up in profiles.
 func TestAllocsPerRPCRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short races")
 	}
-	measure := func(max int) float64 {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := NewDaemon(l)
-		if _, err := d.Register("Bench", benchServer{}); err != nil {
-			t.Fatal(err)
-		}
-		go d.RequestLoop()
-		defer d.Close()
-		uri := URI{Object: "Bench", Host: l.Addr().(*net.TCPAddr).IP.String(), Port: l.Addr().(*net.TCPAddr).Port}
-		p, err := DialConfigured(uri, nil, DialConfig{MaxWireVersion: max})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		payload := string(make([]byte, 512))
-		// Warm the frame pool and the connection.
-		for i := 0; i < 16; i++ {
-			var out string
-			if err := p.CallInto(&out, "Echo", payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return testing.AllocsPerRun(200, func() {
-			var out string
-			if err := p.CallInto(&out, "Echo", payload); err != nil {
-				t.Fatal(err)
-			}
-		})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	v1 := measure(1)
-	v2 := measure(2)
-	t.Logf("allocs/RPC: v1=%.1f v2=%.1f", v1, v2)
-	if v2 >= v1 {
-		t.Errorf("v2 framing allocates %.1f per RPC, v1 %.1f — binary must be cheaper", v2, v1)
+	d := NewDaemon(l)
+	uri, err := d.Register("Bench", benchServer{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	go d.RequestLoop()
+	defer d.Close()
+	p, err := Dial(uri, nil, DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	payload := string(make([]byte, 512))
+	// Warm the frame pool and the connection.
+	for i := 0; i < 16; i++ {
+		var out string
+		if err := p.CallInto(&out, "Echo", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		var out string
+		if err := p.CallInto(&out, "Echo", payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/RPC: %.1f", allocs)
 	// Absolute budget: client-side allocations for one 512-byte echo.
 	// Measured ~30 on the seed; the gate leaves headroom for runtime
 	// variation while still catching a codec that starts copying args.
 	const budget = 60
-	if v2 > budget {
-		t.Errorf("v2 framing allocates %.1f per RPC, budget %d", v2, budget)
+	if allocs > budget {
+		t.Errorf("framing allocates %.1f per RPC, budget %d", allocs, budget)
 	}
 }

@@ -41,12 +41,6 @@ type Daemon struct {
 	// any dispatch. Set it before RequestLoop.
 	AuthToken string
 
-	// MaxWireVersion caps the framing this daemon offers: 0 (or 2)
-	// negotiates the binary v2 framing with capable clients, 1 pins
-	// every connection to v1 JSON (what a pre-v2 daemon behaves like).
-	// Set it before RequestLoop.
-	MaxWireVersion int
-
 	// Audit, when set, receives every successfully resolved call with
 	// its raw arguments — the hook provenance journals hang off.
 	// It runs on the dispatch goroutine; keep it fast.
@@ -258,17 +252,15 @@ func (d *Daemon) serveConn(conn net.Conn) {
 	}()
 	d.mu.Lock()
 	token := d.AuthToken
-	myMax := clampWireVersion(d.MaxWireVersion)
 	metrics := d.metrics
 	d.mu.Unlock()
-	peerMax, err := expectHelloToken(conn, token)
-	if err != nil {
+	if err := expectHello(conn, token); err != nil {
 		return
 	}
-	if err := sendHelloMax(conn, "", myMax); err != nil {
+	if err := sendHello(conn, ""); err != nil {
 		return
 	}
-	wc := &wireConn{conn: conn, version: negotiateWire(myMax, peerMax), metrics: newWireMetrics(metrics)}
+	wc := &wireConn{conn: conn, metrics: newWireMetrics(metrics)}
 	// Requests on one connection are dispatched concurrently so a
 	// long-running acquisition call does not block quick status calls
 	// pipelined behind it; a write mutex keeps response frames whole.
@@ -287,11 +279,9 @@ func (d *Daemon) serveConn(conn net.Conn) {
 		go func(req request, framep *[]byte) {
 			defer wg.Done()
 			resp := d.dispatchDedup(&req)
-			if framep != nil {
-				// v2 args alias the pooled frame; dispatch has consumed
-				// them, so the buffer can be recycled before the write.
-				putFrame(framep)
-			}
+			// The args alias the pooled frame; dispatch has consumed
+			// them, so the buffer can be recycled before the write.
+			putFrame(framep)
 			writeMu.Lock()
 			defer writeMu.Unlock()
 			_ = wc.writeResponse(&resp)

@@ -20,7 +20,7 @@ func TestCallIDDedupExecutesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCallIDDedupReplaysErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestConcurrentDuplicatesExecuteOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestReplyCacheEvictionBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDedupHitCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

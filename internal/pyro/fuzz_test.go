@@ -6,18 +6,17 @@ import (
 	"testing"
 )
 
-// FuzzReadMessage ensures arbitrary framed bytes never panic the wire
-// decoder or allocate beyond the message cap.
+// FuzzReadMessage ensures arbitrary framed bytes never panic the
+// handshake decoder or allocate beyond the message cap.
 func FuzzReadMessage(f *testing.F) {
 	var good bytes.Buffer
-	writeMessage(&good, request{ID: 1, Object: "X", Method: "M"})
+	writeMessage(&good, hello{Magic: Scheme, Version: protocolVersion, Token: "t"})
 	f.Add(good.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, input []byte) {
-		var req request
-		readMessage(bytes.NewReader(input), &req)
+		expectHello(bytes.NewReader(input), "t")
 	})
 }
 

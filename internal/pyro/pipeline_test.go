@@ -33,7 +33,7 @@ func TestPipelinedCallsDoNotSerialise(t *testing.T) {
 	go d.RequestLoop()
 	defer d.Close()
 
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestManyConcurrentPipelinedCalls(t *testing.T) {
 	go d.RequestLoop()
 	defer d.Close()
 
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCloseFailsInFlightCalls(t *testing.T) {
 	go d.RequestLoop()
 	defer d.Close()
 
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestDaemonDeathFailsInFlightCalls(t *testing.T) {
 	uri, _ := d.Register("S", slowServer{})
 	go d.RequestLoop()
 
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

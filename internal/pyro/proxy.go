@@ -45,8 +45,8 @@ type Proxy struct {
 	Timeout time.Duration
 
 	conn net.Conn
-	// wire carries the framing version negotiated in the handshake and
-	// the optional pyro.wire.* telemetry.
+	// wire frames requests and responses and carries the optional
+	// pyro.wire.* telemetry.
 	wire *wireConn
 
 	writeMu sync.Mutex // serialises request frames
@@ -63,31 +63,14 @@ type DialConfig struct {
 	// Token is the shared-secret credential for a daemon whose
 	// AuthToken is set.
 	Token string
-	// MaxWireVersion caps the framing this client offers in the
-	// handshake: 0 (or 2) negotiates the binary v2 framing when the
-	// daemon supports it, 1 pins the connection to v1 JSON. The
-	// daemon's own cap wins when lower — mixed deployments fall back
-	// to JSON automatically.
-	MaxWireVersion int
 	// Metrics, when set, receives this connection's pyro.wire.*
 	// counters (bytes/frames in and out, encode/decode nanoseconds).
 	Metrics *telemetry.Collector
 }
 
-// Dial connects to the object's daemon and performs the handshake.
-func Dial(uri URI, dialer Dialer) (*Proxy, error) {
-	return DialConfigured(uri, dialer, DialConfig{})
-}
-
-// DialToken is Dial presenting a shared-secret credential to a daemon
-// whose AuthToken is set.
-func DialToken(uri URI, dialer Dialer, token string) (*Proxy, error) {
-	return DialConfigured(uri, dialer, DialConfig{Token: token})
-}
-
-// DialConfigured is Dial with explicit connection configuration,
-// including the wire-version cap and telemetry.
-func DialConfigured(uri URI, dialer Dialer, cfg DialConfig) (*Proxy, error) {
+// Dial connects to the object's daemon and performs the handshake,
+// presenting cfg's credential and counting on cfg's collector.
+func Dial(uri URI, dialer Dialer, cfg DialConfig) (*Proxy, error) {
 	if dialer == nil {
 		dialer = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 10*time.Second)
@@ -97,33 +80,23 @@ func DialConfigured(uri URI, dialer Dialer, cfg DialConfig) (*Proxy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pyro: dial %s: %w", uri.Addr(), err)
 	}
-	myMax := clampWireVersion(cfg.MaxWireVersion)
-	if err := sendHelloMax(conn, cfg.Token, myMax); err != nil {
+	if err := sendHello(conn, cfg.Token); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	peerMax, err := expectHello(conn)
-	if err != nil {
+	if err := expectHello(conn, ""); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	p := &Proxy{
-		uri:  uri,
-		conn: conn,
-		wire: &wireConn{
-			conn:    conn,
-			version: negotiateWire(myMax, peerMax),
-			metrics: newWireMetrics(cfg.Metrics),
-		},
+		uri:     uri,
+		conn:    conn,
+		wire:    &wireConn{conn: conn, metrics: newWireMetrics(cfg.Metrics)},
 		pending: make(map[uint64]chan response),
 	}
 	go p.readLoop()
 	return p, nil
 }
-
-// WireVersion reports the framing version negotiated for this
-// connection (1 = JSON, 2 = binary).
-func (p *Proxy) WireVersion() int { return p.wire.version }
 
 // readLoop demultiplexes responses to their waiting callers.
 func (p *Proxy) readLoop() {

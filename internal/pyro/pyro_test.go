@@ -114,7 +114,7 @@ func TestBasicRemoteCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRemoteErrorsSurface(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("Calc", &calc{})
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPanicInMethodBecomesError(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("Calc", &calc{})
-	p, _ := Dial(uri, nil)
+	p, _ := Dial(uri, nil, DialConfig{})
 	defer p.Close()
 	_, err := p.Call("Boom")
 	if err == nil || !strings.Contains(err.Error(), "panic") {
@@ -210,7 +210,7 @@ func TestDispatchErrors(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("Calc", &calc{})
-	p, _ := Dial(uri, nil)
+	p, _ := Dial(uri, nil, DialConfig{})
 	defer p.Close()
 
 	if _, err := p.Call("NoSuchMethod"); err == nil || !strings.Contains(err.Error(), "no method") {
@@ -223,7 +223,7 @@ func TestDispatchErrors(t *testing.T) {
 		t.Error("type mismatch accepted")
 	}
 	// Unknown object via a proxy pointed elsewhere on the same daemon.
-	p2, err := Dial(uri.WithObject("Ghost"), nil)
+	p2, err := Dial(uri.WithObject("Ghost"), nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestStructArguments(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("Geom", geom{})
-	p, _ := Dial(uri, nil)
+	p, _ := Dial(uri, nil, DialConfig{})
 	defer p.Close()
 	var mid point
 	if err := p.CallInto(&mid, "Mid", point{X: 0, Y: 0}, point{X: 4, Y: 6}); err != nil {
@@ -275,7 +275,7 @@ func TestDeeplyNestedArguments(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("N", nestedServer{})
-	p, err := Dial(uri, nil)
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestConcurrentProxies(t *testing.T) {
 		wg.Add(1)
 		go func(base int) {
 			defer wg.Done()
-			p, err := Dial(uri, nil)
+			p, err := Dial(uri, nil, DialConfig{})
 			if err != nil {
 				errs <- err
 				return
@@ -373,7 +373,7 @@ func TestSharedProxyIsGoroutineSafe(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("Calc", &calc{})
-	p, _ := Dial(uri, nil)
+	p, _ := Dial(uri, nil, DialConfig{})
 	defer p.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -396,7 +396,7 @@ func TestProxyClosedErrors(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("Calc", &calc{})
-	p, _ := Dial(uri, nil)
+	p, _ := Dial(uri, nil, DialConfig{})
 	p.Close()
 	if _, err := p.Call("Ping"); !errors.Is(err, ErrProxyClosed) {
 		t.Errorf("call on closed proxy = %v", err)
@@ -408,7 +408,7 @@ func TestProxyClosedErrors(t *testing.T) {
 
 func TestDialFailure(t *testing.T) {
 	// Port 1 on loopback is almost certainly closed.
-	_, err := Dial(URI{Object: "X", Host: "127.0.0.1", Port: 1}, nil)
+	_, err := Dial(URI{Object: "X", Host: "127.0.0.1", Port: 1}, nil, DialConfig{})
 	if err == nil {
 		t.Skip("something is listening on port 1")
 	}
@@ -425,7 +425,7 @@ func TestDaemonTrace(t *testing.T) {
 		mu.Unlock()
 	}
 	uri, _ := d.Register("Calc", &calc{})
-	p, _ := Dial(uri, nil)
+	p, _ := Dial(uri, nil, DialConfig{})
 	defer p.Close()
 	p.Call("Ping")
 	mu.Lock()
@@ -445,7 +445,7 @@ func TestNameServer(t *testing.T) {
 	}
 	calcURI, _ := d.Register("Calc", &calc{})
 
-	nsProxy, err := Dial(nsURI, nil)
+	nsProxy, err := Dial(nsURI, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestNameServer(t *testing.T) {
 	}
 
 	// Use the resolved URI.
-	p, err := Dial(resolved, nil)
+	p, err := Dial(resolved, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,17 +523,16 @@ func TestProxyTimeout(t *testing.T) {
 		if err != nil {
 			return
 		}
-		expectHello(conn)
-		sendHello(conn)
+		expectHello(conn, "")
+		sendHello(conn, "")
 		// Read the request but never answer.
-		var req request
-		readMessage(conn, &req)
+		readFrame(conn, nil)
 		select {}
 	}()
 	host, portStr, _ := net.SplitHostPort(l.Addr().String())
 	var port int
 	fmt.Sscan(portStr, &port)
-	p, err := Dial(URI{Object: "X", Host: host, Port: port}, nil)
+	p, err := Dial(URI{Object: "X", Host: host, Port: port}, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +553,7 @@ func TestRemoteAddProperty(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("Calc", &calc{})
-	p, _ := Dial(uri, nil)
+	p, _ := Dial(uri, nil, DialConfig{})
 	defer p.Close()
 	f := func(a, b int32) bool {
 		var sum int
@@ -573,7 +572,7 @@ func TestRemoteEchoProperty(t *testing.T) {
 	d, stop := startDaemon(t)
 	defer stop()
 	uri, _ := d.Register("Calc", &calc{})
-	p, _ := Dial(uri, nil)
+	p, _ := Dial(uri, nil, DialConfig{})
 	defer p.Close()
 	f := func(s string) bool {
 		var got string

@@ -43,9 +43,6 @@ type ReconnectingProxy struct {
 	MaxBackoff time.Duration
 	// Timeout is applied to the underlying proxy's calls.
 	Timeout time.Duration
-	// MaxWireVersion caps the framing offered on each (re)dial: 0
-	// negotiates the newest, 1 pins v1 JSON. Set before first use.
-	MaxWireVersion int
 
 	// callPrefix makes this handle's call IDs globally unique.
 	callPrefix string
@@ -90,17 +87,6 @@ func newCallPrefix() string {
 
 // URI returns the remote object's URI.
 func (r *ReconnectingProxy) URI() URI { return r.uri }
-
-// WireVersion reports the framing negotiated on the current
-// connection, or 0 when the handle has not dialed yet.
-func (r *ReconnectingProxy) WireVersion() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.proxy == nil {
-		return 0
-	}
-	return r.proxy.WireVersion()
-}
 
 // MarkExactlyOnce declares methods non-idempotent: their retries carry
 // a stable call ID and are deduplicated by the daemon instead of
@@ -157,11 +143,7 @@ func (r *ReconnectingProxy) current() (*Proxy, error) {
 			r.metrics.Counter("pyro.redials").Inc()
 		}
 	}
-	p, err := DialConfigured(r.uri, r.dialer, DialConfig{
-		Token:          r.token,
-		MaxWireVersion: r.MaxWireVersion,
-		Metrics:        r.metrics,
-	})
+	p, err := Dial(r.uri, r.dialer, DialConfig{Token: r.token, Metrics: r.metrics})
 	r.dialed = true
 	if err != nil {
 		return nil, err

@@ -8,14 +8,15 @@
 //	uri, _ := daemon.Register("ACL_Server", &Workstation{...})
 //	go daemon.RequestLoop()
 //
-//	proxy, _ := pyro.Dial(uri, nil)
+//	proxy, _ := pyro.Dial(uri, nil, pyro.DialConfig{})
 //	var status string
 //	proxy.CallInto(&status, "Status")
 //
-// The wire protocol is length-prefixed JSON over any net.Conn, so the
-// same code runs over real TCP (cmd/controlagent) and the simulated
-// cross-facility network (internal/netsim). A name server mirroring
-// Pyro's NS is provided for lookup by logical name.
+// The wire protocol is a JSON hello followed by length-prefixed binary
+// frames (wire2.go) over any net.Conn, so the same code runs over real
+// TCP (cmd/controlagent) and the simulated cross-facility network
+// (internal/netsim). A name server mirroring Pyro's NS is provided for
+// lookup by logical name.
 package pyro
 
 import (

@@ -14,46 +14,43 @@ import (
 // length prefix cannot exhaust memory.
 const maxMessageBytes = 16 << 20
 
-// protocolVersion is the legacy handshake version every peer accepts;
-// it stays pinned at 1 so the strict version check in old daemons keeps
-// passing while framing negotiation rides the Max field.
-const protocolVersion = 1
-
-// protocolVersionMax is the newest framing this build speaks: 2 is the
-// compact binary framing, 1 the original length-prefixed JSON.
-const protocolVersionMax = 2
+// protocolVersion is the handshake version, which names the framing:
+// 2 is the compact binary framing of wire2.go, the only one spoken. A
+// peer that says anything else is refused at the handshake instead of
+// being answered in frames it cannot read.
+const protocolVersion = 2
 
 // request is a client→daemon method invocation.
 type request struct {
 	// ID correlates the response; unique per connection.
-	ID uint64 `json:"id"`
+	ID uint64
 	// CallID, when non-empty, identifies the logical call across
 	// connections and retries: the daemon executes each CallID at most
 	// once and replays the first result to duplicates (exactly-once
 	// semantics for non-idempotent instrument commands whose reply was
 	// lost in transit). Empty CallIDs are dispatched unconditionally.
-	CallID string `json:"call_id,omitempty"`
+	CallID string
 	// Object is the registered object name.
-	Object string `json:"object"`
+	Object string
 	// Method is the exported method to invoke.
-	Method string `json:"method"`
+	Method string
 	// Args are the positional arguments, JSON-encoded.
-	Args []json.RawMessage `json:"args,omitempty"`
+	Args []json.RawMessage
 	// TP is the W3C-style traceparent of the calling span, so the
 	// daemon parents its server-side span under the client's and one
 	// trace ID follows a job across the simulated WAN. Empty when the
 	// caller is untraced.
-	TP string `json:"tp,omitempty"`
+	TP string
 }
 
 // response is a daemon→client result.
 type response struct {
-	ID uint64 `json:"id"`
+	ID uint64
 	// Result is the JSON-encoded return value (absent on error or for
 	// void methods).
-	Result json.RawMessage `json:"result,omitempty"`
+	Result json.RawMessage
 	// Error carries the remote error message, empty on success.
-	Error string `json:"error,omitempty"`
+	Error string
 }
 
 // hello is the handshake each side exchanges on connect. Token
@@ -64,13 +61,6 @@ type hello struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
 	Token   string `json:"token,omitempty"`
-	// Max advertises the highest framing version the sender can speak.
-	// Version stays pinned at 1 — the legacy strict equality check —
-	// and each side moves to min(own Max, peer Max) after the
-	// handshake. A peer that predates the field (absent or zero)
-	// therefore pins the connection to v1 JSON, which is how mixed
-	// deployments keep working without a redial.
-	Max int `json:"max,omitempty"`
 }
 
 // framePool recycles wire buffers across calls so the steady-state
@@ -148,71 +138,31 @@ func readMessage(r io.Reader, v any) error {
 	return nil
 }
 
-// sendHello / expectHello implement the two-way handshake.
-func sendHello(w io.Writer) error { return sendHelloMax(w, "", protocolVersionMax) }
-
-func sendHelloToken(w io.Writer, token string) error {
-	return sendHelloMax(w, token, protocolVersionMax)
+// sendHello sends this side's handshake, presenting token (empty for
+// none).
+func sendHello(w io.Writer, token string) error {
+	return writeMessage(w, hello{Magic: Scheme, Version: protocolVersion, Token: token})
 }
-
-// sendHelloMax sends the handshake advertising max as the highest
-// framing version this side speaks.
-func sendHelloMax(w io.Writer, token string, max int) error {
-	return writeMessage(w, hello{Magic: Scheme, Version: protocolVersion, Token: token, Max: max})
-}
-
-func expectHello(r io.Reader) (peerMax int, err error) { return expectHelloToken(r, "") }
 
 // ErrUnauthorized is wrapped when a handshake presents the wrong
 // credential.
 var ErrUnauthorized = errors.New("pyro: unauthorized")
 
-// expectHelloToken validates the peer's handshake and returns the
-// highest framing version it advertised (1 for peers that predate
-// negotiation).
-func expectHelloToken(r io.Reader, wantToken string) (peerMax int, err error) {
+// expectHello validates the peer's handshake: the magic, the protocol
+// version and, when wantToken is set, the credential.
+func expectHello(r io.Reader, wantToken string) error {
 	var h hello
 	if err := readMessage(r, &h); err != nil {
-		return 0, fmt.Errorf("pyro: handshake: %w", err)
+		return fmt.Errorf("pyro: handshake: %w", err)
 	}
 	if h.Magic != Scheme {
-		return 0, fmt.Errorf("pyro: handshake magic %q", h.Magic)
+		return fmt.Errorf("pyro: handshake magic %q", h.Magic)
 	}
 	if h.Version != protocolVersion {
-		return 0, fmt.Errorf("pyro: protocol version %d, want %d", h.Version, protocolVersion)
+		return fmt.Errorf("pyro: protocol version %d, want %d", h.Version, protocolVersion)
 	}
 	if wantToken != "" && subtle.ConstantTimeCompare([]byte(h.Token), []byte(wantToken)) != 1 {
-		return 0, fmt.Errorf("%w: bad or missing token", ErrUnauthorized)
+		return fmt.Errorf("%w: bad or missing token", ErrUnauthorized)
 	}
-	if h.Max < 1 {
-		return 1, nil
-	}
-	return h.Max, nil
-}
-
-// clampWireVersion normalises a configured preference: zero or
-// out-of-range selects the newest supported framing.
-func clampWireVersion(v int) int {
-	if v <= 0 || v > protocolVersionMax {
-		return protocolVersionMax
-	}
-	return v
-}
-
-// negotiateWire picks the framing both sides speak.
-func negotiateWire(mine, theirs int) int {
-	if mine < 1 {
-		mine = 1
-	}
-	if theirs < 1 {
-		theirs = 1
-	}
-	v := mine
-	if theirs < v {
-		v = theirs
-	}
-	if v > protocolVersionMax {
-		v = protocolVersionMax
-	}
-	return v
+	return nil
 }

@@ -1,10 +1,10 @@
 package pyro
 
-// Protocol v2: compact binary framing negotiated in the handshake.
+// The binary framing every connection speaks after the handshake.
 //
-// Every frame keeps the v1 outer shape — a 4-byte big-endian length
-// prefix — so both framings share the reader and the message-size cap,
-// but the body is binary instead of a JSON envelope:
+// A frame is a 4-byte big-endian length prefix — the same outer shape
+// as the JSON hello, so both share the reader and the message-size
+// cap — followed by a binary body:
 //
 //	request:  0x01 | uvarint id | callID | tp | object | method |
 //	          uvarint argc | argc × arg
@@ -241,55 +241,34 @@ func (m *wireMetrics) received(bytes int, decodeNs int64) {
 	m.decodeNs.Add(decodeNs)
 }
 
-// wireConn is one handshaken connection with its negotiated framing:
-// both the proxy and the daemon route every frame through it, so the
-// v1/v2 split (and the wire telemetry) lives in exactly one place.
+// wireConn is one handshaken connection: both the proxy and the
+// daemon route every frame through it, so the framing (and the wire
+// telemetry) lives in exactly one place.
 type wireConn struct {
 	conn    net.Conn
-	version int
 	metrics *wireMetrics
 }
 
-// writeRequest frames req in the negotiated version as one Write.
-// The caller serialises concurrent writers.
+// writeRequest frames req as one Write. The caller serialises
+// concurrent writers.
 func (c *wireConn) writeRequest(req *request) error {
 	var start time.Time
 	if c.metrics != nil {
 		start = time.Now()
 	}
 	bp := getFrame()
-	b := append((*bp)[:0], 0, 0, 0, 0)
-	if c.version >= 2 {
-		b = appendRequestV2(b, req)
-	} else {
-		body, err := json.Marshal(req)
-		if err != nil {
-			putFrame(bp)
-			return fmt.Errorf("pyro: encode: %w", err)
-		}
-		b = append(b, body...)
-	}
+	b := appendRequestV2(append((*bp)[:0], 0, 0, 0, 0), req)
 	return c.finishWrite(bp, b, start)
 }
 
-// writeResponse frames resp in the negotiated version as one Write.
+// writeResponse frames resp as one Write.
 func (c *wireConn) writeResponse(resp *response) error {
 	var start time.Time
 	if c.metrics != nil {
 		start = time.Now()
 	}
 	bp := getFrame()
-	b := append((*bp)[:0], 0, 0, 0, 0)
-	if c.version >= 2 {
-		b = appendResponseV2(b, resp)
-	} else {
-		body, err := json.Marshal(resp)
-		if err != nil {
-			putFrame(bp)
-			return fmt.Errorf("pyro: encode: %w", err)
-		}
-		b = append(b, body...)
-	}
+	b := appendResponseV2(append((*bp)[:0], 0, 0, 0, 0), resp)
 	return c.finishWrite(bp, b, start)
 }
 
@@ -310,10 +289,9 @@ func (c *wireConn) finishWrite(bp *[]byte, b []byte, start time.Time) error {
 	return err
 }
 
-// readRequest reads and decodes one request. For v2 frames the
-// returned buffer owns req.Args' backing memory: the caller must
-// putFrame it after the request is fully dispatched (nil for v1,
-// where JSON decoding already copied).
+// readRequest reads and decodes one request. The returned buffer owns
+// req.Args' backing memory: the caller must putFrame it after the
+// request is fully dispatched.
 func (c *wireConn) readRequest(req *request) (*[]byte, error) {
 	bp := getFrame()
 	body, err := readFrame(c.conn, *bp)
@@ -327,21 +305,12 @@ func (c *wireConn) readRequest(req *request) (*[]byte, error) {
 	if c.metrics != nil {
 		start = time.Now()
 	}
-	if c.version >= 2 {
-		if err := decodeRequestV2(body, req); err != nil {
-			putFrame(bp)
-			return nil, err
-		}
-		c.received(len(body), start)
-		return bp, nil
-	}
-	err = json.Unmarshal(body, req)
-	putFrame(bp)
-	if err != nil {
-		return nil, fmt.Errorf("pyro: decode: %w", err)
+	if err := decodeRequestV2(body, req); err != nil {
+		putFrame(bp)
+		return nil, err
 	}
 	c.received(len(body), start)
-	return nil, nil
+	return bp, nil
 }
 
 // readResponse reads and decodes one response into a fresh exact-size
@@ -355,12 +324,8 @@ func (c *wireConn) readResponse(resp *response) error {
 	if c.metrics != nil {
 		start = time.Now()
 	}
-	if c.version >= 2 {
-		if err := decodeResponseV2(body, resp); err != nil {
-			return err
-		}
-	} else if err := json.Unmarshal(body, resp); err != nil {
-		return fmt.Errorf("pyro: decode: %w", err)
+	if err := decodeResponseV2(body, resp); err != nil {
+		return err
 	}
 	c.received(len(body), start)
 	return nil

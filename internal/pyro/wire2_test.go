@@ -102,116 +102,71 @@ func TestV2DecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// startDaemonMax is startDaemon with a pinned wire-version cap.
-func startDaemonMax(t *testing.T, max int) (*Daemon, *calc, URI, func()) {
+// startCalcDaemon is startDaemon with a calc registered as "Calc".
+func startCalcDaemon(t *testing.T) (*Daemon, *calc, URI, func()) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDaemon(l)
-	d.MaxWireVersion = max
+	d, stop := startDaemon(t)
 	c := &calc{}
 	uri, err := d.Register("Calc", c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { d.RequestLoop(); close(done) }()
-	return d, c, uri, func() {
-		d.Close()
-		select {
-		case <-done:
-		case <-time.After(2 * time.Second):
-			t.Error("RequestLoop did not exit")
-		}
-	}
+	return d, c, uri, stop
 }
 
-// TestWireVersionNegotiation covers the four old/new pairings: both
-// sides v2-capable pick binary, either side pinned to v1 falls the
-// connection back to JSON, and calls work identically in every case.
-func TestWireVersionNegotiation(t *testing.T) {
-	cases := []struct {
-		name                 string
-		daemonMax, clientMax int
-		want                 int
-	}{
-		{"v2 client with v2 daemon picks binary", 0, 0, 2},
-		{"v2 client with v1 daemon falls back", 1, 0, 1},
-		{"v1 client with v2 daemon falls back", 0, 1, 1},
-		{"both pinned v1", 1, 1, 1},
+// TestHelloOtherVersionRefused sends the hello a pre-binary peer
+// speaks (Version 1): the handshake must refuse it by name and the
+// daemon must hang up without answering, instead of replying in frames
+// that peer cannot read. The daemon keeps serving fresh dials.
+func TestHelloOtherVersionRefused(t *testing.T) {
+	var legacy bytes.Buffer
+	if err := writeMessage(&legacy, hello{Magic: Scheme, Version: 1}); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, c, uri, stop := startDaemonMax(t, tc.daemonMax)
-			defer stop()
-			p, err := DialConfigured(uri, nil, DialConfig{MaxWireVersion: tc.clientMax})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			if v := p.WireVersion(); v != tc.want {
-				t.Fatalf("negotiated wire version = %d, want %d", v, tc.want)
-			}
-			var sum int
-			if err := p.CallInto(&sum, "Add", 19, 23); err != nil {
-				t.Fatal(err)
-			}
-			if sum != 42 {
-				t.Errorf("Add over v%d = %d, want 42", tc.want, sum)
-			}
-			var echo string
-			if err := p.CallInto(&echo, "Echo", "streaming"); err != nil {
-				t.Fatal(err)
-			}
-			if echo != "streaming" || c.Calls() != 2 {
-				t.Errorf("echo %q, calls %d", echo, c.Calls())
-			}
-			// Void and error paths survive both framings.
-			if raw, err := p.Call("Ping"); err != nil || raw != nil {
-				t.Errorf("Ping = (%v, %v), want (nil, nil)", raw, err)
-			}
-			if _, err := p.Call("Fail"); err == nil {
-				t.Error("Fail did not surface the remote error")
-			}
-		})
+	err := expectHello(bytes.NewReader(legacy.Bytes()), "")
+	if err == nil || err.Error() != "pyro: protocol version 1, want 2" {
+		t.Fatalf("handshake error = %v, want \"pyro: protocol version 1, want 2\"", err)
 	}
-}
 
-// TestLegacyHelloWithoutMaxPinsV1 simulates a peer that predates the
-// Max field entirely: the daemon must answer it with working v1 JSON.
-func TestLegacyHelloWithoutMaxPinsV1(t *testing.T) {
-	_, _, uri, stop := startDaemonMax(t, 0)
+	_, c, uri, stop := startCalcDaemon(t)
 	defer stop()
 	conn, err := net.Dial("tcp", uri.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A legacy hello: Version 1, no Max key at all.
-	if err := writeMessage(conn, hello{Magic: Scheme, Version: 1}); err != nil {
+	if _, err := conn.Write(legacy.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	peerMax, err := expectHello(conn)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
+		t.Fatalf("daemon answered a version-1 hello with %q (%v), want the connection closed", got, err)
+	}
+
+	p, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if peerMax != protocolVersionMax {
-		t.Errorf("daemon advertised max %d, want %d", peerMax, protocolVersionMax)
-	}
-	// The daemon must have pinned this connection to v1: a JSON request
-	// gets a JSON response.
-	if err := writeMessage(conn, request{ID: 5, Object: "Calc", Method: "Echo",
-		Args: []json.RawMessage{json.RawMessage(`"legacy"`)}}); err != nil {
+	defer p.Close()
+	var sum int
+	if err := p.CallInto(&sum, "Add", 19, 23); err != nil {
 		t.Fatal(err)
 	}
-	var resp response
-	if err := readMessage(conn, &resp); err != nil {
+	if sum != 42 {
+		t.Errorf("Add = %d, want 42", sum)
+	}
+	var echo string
+	if err := p.CallInto(&echo, "Echo", "streaming"); err != nil {
 		t.Fatal(err)
 	}
-	if resp.ID != 5 || resp.Error != "" || string(resp.Result) != `"legacy"` {
-		t.Errorf("legacy JSON call answered %+v", resp)
+	if echo != "streaming" || c.Calls() != 2 {
+		t.Errorf("echo %q, calls %d", echo, c.Calls())
+	}
+	if raw, err := p.Call("Ping"); err != nil || raw != nil {
+		t.Errorf("Ping = (%v, %v), want (nil, nil)", raw, err)
+	}
+	if _, err := p.Call("Fail"); err == nil {
+		t.Error("Fail did not surface the remote error")
 	}
 }
 
@@ -219,11 +174,11 @@ func TestLegacyHelloWithoutMaxPinsV1(t *testing.T) {
 // v2 handshake: the daemon must drop that connection without crashing,
 // and keep serving fresh connections.
 func TestCorruptV2FramePoisonsOnlyItsConnection(t *testing.T) {
-	_, c, uri, stop := startDaemonMax(t, 0)
+	_, c, uri, stop := startCalcDaemon(t)
 	defer stop()
 
 	// A healthy long-lived proxy on its own connection.
-	healthy, err := Dial(uri, nil)
+	healthy, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +194,10 @@ func TestCorruptV2FramePoisonsOnlyItsConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sendHello(conn); err != nil {
+		if err := sendHello(conn, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := expectHello(conn); err != nil {
+		if err := expectHello(conn, ""); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := conn.Write(corrupt); err != nil {
@@ -261,7 +216,7 @@ func TestCorruptV2FramePoisonsOnlyItsConnection(t *testing.T) {
 	if err := healthy.CallInto(&out, "Echo", "still here"); err != nil {
 		t.Fatalf("healthy connection died with the poisoned one: %v", err)
 	}
-	p2, err := Dial(uri, nil)
+	p2, err := Dial(uri, nil, DialConfig{})
 	if err != nil {
 		t.Fatalf("daemon stopped accepting after corrupt frames: %v", err)
 	}
@@ -274,135 +229,51 @@ func TestCorruptV2FramePoisonsOnlyItsConnection(t *testing.T) {
 	}
 }
 
-// TestDedupAcrossFramings proves the exactly-once contract is framing-
-// independent: a duplicated CallID executes once and replays its
-// result on v1 JSON, on v2 binary, and when the retry arrives on a
-// different framing than the original.
-func TestDedupAcrossFramings(t *testing.T) {
-	for _, tc := range []struct {
-		name               string
-		firstMax, retryMax int
-	}{
-		{"v1 then v1", 1, 1},
-		{"v2 then v2", 0, 0},
-		{"v1 then v2", 1, 0},
-		{"v2 then v1", 0, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d, c, uri, stop := startDaemonMax(t, 0)
-			defer stop()
-			metrics := telemetry.NewCollector()
-			d.SetMetrics(metrics)
-
-			first, err := DialConfigured(uri, nil, DialConfig{MaxWireVersion: tc.firstMax})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer first.Close()
-			r1, err := first.CallWithID("once-1", "Add", 20, 22)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// The "retry": same CallID from a fresh connection, possibly
-			// on the other framing (a redialed client may negotiate
-			// differently after a daemon upgrade).
-			retry, err := DialConfigured(uri, nil, DialConfig{MaxWireVersion: tc.retryMax})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer retry.Close()
-			r2, err := retry.CallWithID("once-1", "Add", 20, 22)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(r1) != "42" || string(r2) != "42" {
-				t.Errorf("results %q / %q, want 42", r1, r2)
-			}
-			if c.Calls() != 1 {
-				t.Errorf("method executed %d times, want exactly 1", c.Calls())
-			}
-			if d.DedupHits() != 1 || metrics.CounterValue("pyro.dedup_hits") != 1 {
-				t.Errorf("dedup hits = %d (counter %d), want 1",
-					d.DedupHits(), metrics.CounterValue("pyro.dedup_hits"))
-			}
-		})
-	}
-}
-
-// TestReconnectingProxyWireVersion checks the redial layer's cap
-// plumbing and version reporting.
-func TestReconnectingProxyWireVersion(t *testing.T) {
-	_, _, uri, stop := startDaemonMax(t, 0)
-	defer stop()
-
-	r := NewReconnectingProxy(uri, nil, "")
-	if v := r.WireVersion(); v != 0 {
-		t.Errorf("undialed handle reports version %d", v)
-	}
-	if _, err := r.Call("Ping"); err != nil {
-		t.Fatal(err)
-	}
-	if v := r.WireVersion(); v != 2 {
-		t.Errorf("negotiated %d, want 2", v)
-	}
-	r.Close()
-
-	pinned := NewReconnectingProxy(uri, nil, "")
-	pinned.MaxWireVersion = 1
-	if _, err := pinned.Call("Ping"); err != nil {
-		t.Fatal(err)
-	}
-	if v := pinned.WireVersion(); v != 1 {
-		t.Errorf("pinned handle negotiated %d, want 1", v)
-	}
-	pinned.Close()
-}
-
-// TestWireTelemetryCounters checks the pyro.wire.* series on both ends
-// and that v2 frames are measurably smaller than v1 for the same call.
+// TestWireTelemetryCounters pins the pyro.wire.* series on both ends
+// to the exact bytes of ten Echo("telemetry probe") calls. Each
+// request frame is 37 bytes: the 4-byte length prefix, the type byte,
+// a 1-byte uvarint ID, two empty strings (call ID, traceparent) at 1
+// byte each, "Calc" and "Echo" at 5 bytes each, a 1-byte arg count
+// and the 17-byte JSON argument behind its 1-byte length. Each
+// response frame is 25 bytes: prefix, type, ID, flags and the 18-byte
+// length-prefixed result. The handshake is not counted.
 func TestWireTelemetryCounters(t *testing.T) {
-	bytesFor := func(clientMax int) (client, daemon int64) {
-		d, _, uri, stop := startDaemonMax(t, 0)
-		defer stop()
-		dm := telemetry.NewCollector()
-		d.SetMetrics(dm)
-		cm := telemetry.NewCollector()
-		p, err := DialConfigured(uri, nil, DialConfig{MaxWireVersion: clientMax, Metrics: cm})
-		if err != nil {
+	const calls, reqFrame, respFrame = 10, 37, 25
+	d, _, uri, stop := startCalcDaemon(t)
+	defer stop()
+	dm := telemetry.NewCollector()
+	d.SetMetrics(dm)
+	cm := telemetry.NewCollector()
+	p, err := Dial(uri, nil, DialConfig{Metrics: cm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < calls; i++ {
+		var out string
+		if err := p.CallInto(&out, "Echo", "telemetry probe"); err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
-		for i := 0; i < 10; i++ {
-			var out string
-			if err := p.CallInto(&out, "Echo", "telemetry probe"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, name := range []string{
-			"pyro.wire.bytes_in", "pyro.wire.bytes_out",
-			"pyro.wire.frames_in", "pyro.wire.frames_out",
-		} {
-			if cm.CounterValue(name) <= 0 {
-				t.Errorf("client %s = %d, want > 0", name, cm.CounterValue(name))
-			}
-			if dm.CounterValue(name) <= 0 {
-				t.Errorf("daemon %s = %d, want > 0", name, dm.CounterValue(name))
-			}
-		}
-		if cm.CounterValue("pyro.wire.frames_out") != 10 {
-			t.Errorf("client frames_out = %d, want 10", cm.CounterValue("pyro.wire.frames_out"))
-		}
-		// What the client sends the daemon receives, byte for byte
-		// (plus the daemon's view of the handshake hello it read).
-		return cm.CounterValue("pyro.wire.bytes_out"), dm.CounterValue("pyro.wire.bytes_out")
 	}
-	v1Client, v1Daemon := bytesFor(1)
-	v2Client, v2Daemon := bytesFor(2)
-	if v2Client >= v1Client {
-		t.Errorf("v2 client sent %d bytes, v1 sent %d — binary framing should be smaller", v2Client, v1Client)
+	want := map[string][2]int64{ // name → {client, daemon}
+		"pyro.wire.frames_out": {calls, calls},
+		"pyro.wire.frames_in":  {calls, calls},
+		"pyro.wire.bytes_out":  {calls * reqFrame, calls * respFrame},
+		"pyro.wire.bytes_in":   {calls * respFrame, calls * reqFrame},
 	}
-	if v2Daemon >= v1Daemon {
-		t.Errorf("v2 daemon sent %d bytes, v1 sent %d", v2Daemon, v1Daemon)
+	// The daemon counts a response after its Write returns, which can
+	// be just after the client has already read it: give the last one
+	// a moment to land.
+	deadline := time.Now().Add(2 * time.Second)
+	for dm.CounterValue("pyro.wire.bytes_out") < calls*respFrame && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for name, w := range want {
+		if got := cm.CounterValue(name); got != w[0] {
+			t.Errorf("client %s = %d, want %d", name, got, w[0])
+		}
+		if got := dm.CounterValue(name); got != w[1] {
+			t.Errorf("daemon %s = %d, want %d", name, got, w[1])
+		}
 	}
 }

@@ -94,10 +94,6 @@ type NetConnector struct {
 	Reliable bool
 	// ReliableData self-heals the data mount across redials.
 	ReliableData bool
-	// WireVersion caps the control-channel framing: 0 negotiates the
-	// newest (binary v2, falling back against old agents), 1 pins the
-	// legacy JSON framing.
-	WireVersion int
 }
 
 func (c *NetConnector) uri() pyro.URI {
@@ -124,13 +120,13 @@ func (c *NetConnector) mount() (datachan.Share, error) {
 
 // ConnectSession implements Connector.
 func (c *NetConnector) ConnectSession() (*core.RemoteSession, datachan.Share, error) {
-	opts := core.SessionOptions{Token: c.Token, WireVersion: c.WireVersion}
+	opts := core.SessionOptions{Token: c.Token}
 	var session *core.RemoteSession
 	if c.Reliable {
 		session = core.ConnectSessionReliable(c.uri(), nil, opts)
 	} else {
 		var err error
-		session, err = core.ConnectSessionOpts(c.uri(), nil, opts)
+		session, err = core.ConnectSession(c.uri(), nil, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -145,7 +141,7 @@ func (c *NetConnector) ConnectSession() (*core.RemoteSession, datachan.Share, er
 
 // ConnectLab implements Connector.
 func (c *NetConnector) ConnectLab() (*core.LabSession, datachan.Share, error) {
-	session, err := core.ConnectLabSessionToken(c.uri(), nil, c.Token)
+	session, err := core.ConnectLabSession(c.uri(), nil, c.Token)
 	if err != nil {
 		return nil, nil, err
 	}
