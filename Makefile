@@ -20,11 +20,14 @@ race:
 
 # Packages whose tests take over 3 s; flake repeats every other package
 # twenty times in shuffled order, so an order- or timing-dependent test
-# fails here before it fails someone else's build.
+# fails here before it fails someone else's build. Of sched it repeats,
+# under -race, only the tests that pin the job transition order
+# (journal, fold, event, then enqueue).
 SLOW_PKGS = ice/internal/core ice/internal/sched ice/internal/campaign ice/internal/potentiostat ice/internal/microscope
 
 flake:
 	$(GO) test -count=20 -shuffle=on $$($(GO) list ./... | grep -vxF $(SLOW_PKGS:%=-e %))
+	$(GO) test -race -count=200 -run 'TestSchedulerSubmitRunDone$$|TestRefusedAdmissionNeverReachesRunner$$|TestRequeueAndAdoptJournalBeforeDispatch$$' ./internal/sched
 
 # Full benchmark sweep (figures + ablations + parallelism).
 bench:

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,8 +9,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -261,7 +265,8 @@ func TestQuotaHoldsUnderConcurrentSubmit(t *testing.T) {
 		t.Fatalf("live[bursty] = %d after a rate rejection, want 1", got)
 	}
 
-	// Injected WAL-append failure: the admission is rolled back.
+	// Injected WAL-append failure: the admission fails the job, which
+	// gives its slot back and stays in the table as FAILED.
 	known := len(s.Jobs())
 	failMirror.Store(true)
 	_, err := s.Submit(JobSpec{Tenant: "walfail", Kind: KindCV})
@@ -270,10 +275,10 @@ func TestQuotaHoldsUnderConcurrentSubmit(t *testing.T) {
 		t.Fatalf("submit with a failing WAL mirror: %v", err)
 	}
 	if got := liveCount(s, "walfail"); got != 0 {
-		t.Fatalf("live[walfail] = %d after a rolled-back admission, want 0", got)
+		t.Fatalf("live[walfail] = %d after a refused admission, want 0", got)
 	}
-	if got := len(s.Jobs()); got != known {
-		t.Fatalf("job table holds %d entries after a rolled-back admission, want %d", got, known)
+	if jobs := s.Jobs(); len(jobs) != known+1 || jobs[known].State != StateFailed {
+		t.Fatalf("job table after a refused admission: %d entries, newest %+v; want %d, the newest FAILED", len(jobs), jobs[len(jobs)-1], known+1)
 	}
 
 	// Queue full: 2 acl + 1 bursty are queued; filler takes the other 5
@@ -301,6 +306,12 @@ func TestQuotaHoldsUnderConcurrentSubmit(t *testing.T) {
 	}
 	if got := liveCount(s, "acl"); got != 4 {
 		t.Fatalf("live[acl] = %d after WAL replay, want 4", got)
+	}
+	// The refused admission's PENDING record reached the local disk (the
+	// mirror fails after the fsync); its FAILED record keeps the restart
+	// from re-enqueueing a job its submitter was told was refused.
+	if got := liveCount(s, "walfail"); got != 0 {
+		t.Fatalf("live[walfail] = %d after WAL replay: the refused admission would run", got)
 	}
 	if err := checkLiveMatchesScan(s); err != nil {
 		t.Fatal(err)
@@ -371,20 +382,25 @@ func TestGatewayQuota429(t *testing.T) {
 	}
 }
 
-// TestCompleteAfterRolledBackAdmission: Submit enqueues before it
-// journals, so a worker can be running a job whose PENDING record then
-// fails to commit. The rollback removes the entry; the worker's
-// completion must find nothing to complete rather than a nil entry.
-func TestCompleteAfterRolledBackAdmission(t *testing.T) {
+// TestRefusedAdmissionNeverReachesRunner: an idle worker is waiting
+// while the admission's PENDING record fails to commit. The job fails
+// with the append error and never reaches the runner: the next
+// admission is the first job the worker runs. After a crash the
+// restarted scheduler does not stage the refused job either.
+func TestRefusedAdmissionNeverReachesRunner(t *testing.T) {
+	var failMirror atomic.Bool
+	failMirror.Store(true)
 	runner := newStubRunner()
-	s := newTestScheduler(t, t.TempDir(), Config{
+	close(runner.release)
+	dir := t.TempDir()
+	s := newTestScheduler(t, dir, Config{
 		Workers: 1,
 		Health:  HealthConfig{Disabled: true},
 		WALMirror: func(rec WALRecord) error {
-			if rec.State != StatePending {
+			if rec.State != StatePending || !failMirror.Load() {
 				return nil
 			}
-			<-runner.started // the worker has the job
+			time.Sleep(50 * time.Millisecond) // time for a worker to take a visible job
 			return errors.New("injected replication failure")
 		},
 	}, runner)
@@ -393,13 +409,143 @@ func TestCompleteAfterRolledBackAdmission(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Tenant: "acl", Kind: KindCV}); err == nil {
 		t.Fatal("submit succeeded with a failing WAL mirror")
 	}
-	close(runner.release) // the orphaned run finishes and completes
-	s.Stop()
-	if n := len(s.Jobs()); n != 0 {
-		t.Fatalf("job table holds %d entries, want 0", n)
+	failMirror.Store(false)
+	next, err := s.Submit(JobSpec{Tenant: "acl", Kind: KindCV})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := s.WaitTerminal(ctx, next.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := runner.dispatched(); !reflect.DeepEqual(got, []string{next.ID}) {
+		t.Fatalf("runner ran %v, want only %s", got, next.ID)
+	}
+	refused, _ := s.Job("j-000001")
+	events, _, _, _ := s.Events(refused.ID)
+	if refused.State != StateFailed || !strings.Contains(refused.Error, "injected replication failure") ||
+		len(events) != 1 || events[0].Type != "failed" {
+		t.Fatalf("refused job = %+v, events %+v; want FAILED with the append error and one failed event", refused, events)
 	}
 	if err := checkLiveMatchesScan(s); err != nil {
 		t.Fatal(err)
+	}
+
+	// The mirror fails after the local fsync, so the refused PENDING
+	// record is on disk; the FAILED record after it keeps a restart from
+	// running the job.
+	s.Kill()
+	restarted, err := New(Config{Dir: dir, Health: HealthConfig{Disabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Kill()
+	if staged := restarted.Recovered(); len(staged) != 0 {
+		t.Fatalf("restart staged %+v for re-enqueue, want nothing", staged)
+	}
+	if j, _ := restarted.Job(refused.ID); j.State != StateFailed {
+		t.Fatalf("refused job after restart = %+v, want FAILED", j)
+	}
+}
+
+// TestRequeueAndAdoptJournalBeforeDispatch holds the PENDING record of
+// a checkpoint-requeue, then of an adoption, in the WAL mirror while a
+// worker is idle. Neither job may start its next attempt until its
+// record commits, and each job's log shows the requeue or adoption
+// before the start. A cancel while a requeue record is held ends the
+// job.
+func TestRequeueAndAdoptJournalBeforeDispatch(t *testing.T) {
+	var holdJob atomic.Value
+	holdJob.Store("")
+	held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	runner := &scriptedRunner{running: map[string]chan scriptedOutcome{}}
+	s := newTestScheduler(t, t.TempDir(), Config{
+		Workers: 2,
+		Health:  HealthConfig{FailureThreshold: 1 << 30, RetryBudget: 1 << 30},
+		WALMirror: func(rec WALRecord) error {
+			if rec.State == StatePending && rec.Job == holdJob.Load() {
+				select {
+				case held <- struct{}{}:
+					select {
+					case <-release:
+					case <-done:
+					}
+				case <-done:
+				}
+			}
+			return nil
+		},
+	}, runner)
+	defer s.Stop()
+	defer close(done) // a failed check must not leave the record held through Stop
+	waitRunning := func(id string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !slices.Contains(runner.ids(), id); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never started", id)
+			}
+		}
+	}
+	// commitHeld checks that id stays off the runner while its record
+	// is held, then lets the record commit and waits for the start.
+	commitHeld := func(id, before string) {
+		t.Helper()
+		<-held
+		for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if slices.Contains(runner.ids(), id) {
+				t.Fatalf("%s started before its PENDING record committed", id)
+			}
+		}
+		holdJob.Store("")
+		release <- struct{}{}
+		waitRunning(id)
+		events, _, _, _ := s.Events(id)
+		var types []string
+		for _, ev := range events {
+			types = append(types, ev.Type)
+		}
+		if i := slices.Index(types, before); i < 0 || !slices.Contains(types[i+1:], "started") {
+			t.Fatalf("%s events = %v, want %q before started", id, types, before)
+		}
+	}
+
+	job, err := s.Submit(JobSpec{Tenant: "acl", Kind: KindCV})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(job.ID)
+	holdJob.Store(job.ID)
+	go runner.finish(job.ID, instrumentErr) // checkpoint-requeue; the other worker is idle
+	commitHeld(job.ID, "requeued")
+	runner.finish(job.ID, nil)
+
+	const peer = "peer-000001"
+	holdJob.Store(peer)
+	adopted := make(chan error, 1)
+	go func() {
+		adopted <- s.Adopt(Job{ID: peer, Tenant: "acl", Spec: JobSpec{Tenant: "acl", Kind: KindCV}, State: StateRunning, Attempts: 1})
+	}()
+	commitHeld(peer, "adopted")
+	if err := <-adopted; err != nil {
+		t.Fatal(err)
+	}
+
+	// A cancel that lands while the requeue record is held finds the job
+	// neither running nor queued; the transition must honour it rather
+	// than queue the job for a third attempt.
+	holdJob.Store(peer)
+	go runner.finish(peer, instrumentErr)
+	<-held
+	if err := s.Cancel(peer); err != nil {
+		t.Fatal(err)
+	}
+	holdJob.Store("")
+	release <- struct{}{}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if final, err := s.WaitTerminal(ctx, peer); err != nil || final.State != StateCancelled || final.Attempts != 2 {
+		t.Fatalf("cancelled during its requeue: %+v, %v; want CANCELLED after attempt 2 (running: %v)", final, err, runner.ids())
 	}
 }
 
@@ -518,7 +664,8 @@ func (r *scriptedRunner) ids() []string {
 // TestLiveCountMatchesScan is the accounting invariant over seeded
 // schedules: whatever sequence of admissions, rejections, completions,
 // requeues, adoptions, crashes and disownments a gateway lives through,
-// every tenant's counter equals the brute-force scan after every step.
+// every tenant's counter equals the brute-force scan after every step,
+// and folding the WAL file gives the live table.
 func TestLiveCountMatchesScan(t *testing.T) {
 	const seeds = 200
 	// did counts what the schedules did, rejections by their reason, so
@@ -577,6 +724,7 @@ func liveCountSchedule(dir string, seed int64, steps int, did map[string]int) er
 		},
 	}
 	runner := &scriptedRunner{running: map[string]chan scriptedOutcome{}}
+	fold := &walFold{path: filepath.Join(dir, WALFileName)}
 	open := func() (*Scheduler, error) {
 		s, err := New(cfg)
 		if err != nil {
@@ -691,8 +839,8 @@ func liveCountSchedule(dir string, seed int64, steps int, did map[string]int) er
 				opErr = rejected(err)
 			}
 		case "submit, WAL append fails":
-			// Only with every worker busy, so the job is still queued
-			// when its admission is rolled back.
+			// Only with every worker busy: the refused job ends FAILED
+			// without reaching the queue or a worker.
 			failMirror.Store(true)
 			_, err := s.Submit(JobSpec{Tenant: tenant, Kind: KindCV})
 			failMirror.Store(false)
@@ -736,7 +884,7 @@ func liveCountSchedule(dir string, seed int64, steps int, did map[string]int) er
 			})
 			var busy *Busy
 			if errors.As(err, &busy) && busy.Reason == "queue full" {
-				did["adopt: queue full"]++ // the adoption is rolled back
+				did["adopt: queue full"]++ // refused before any entry is made
 			} else {
 				opErr = err
 			}
@@ -750,7 +898,7 @@ func liveCountSchedule(dir string, seed int64, steps int, did map[string]int) er
 			if s, opErr = open(); opErr != nil {
 				return fmt.Errorf("step %d (%s): %w", step, op, opErr)
 			}
-			if err := checkLiveMatchesScan(s); err != nil {
+			if err := checkLive(s, fold, func(string) bool { return true }); err != nil {
 				return fmt.Errorf("step %d (WAL replay): %w", step, err)
 			}
 			disowned = map[string]bool{}
@@ -761,7 +909,7 @@ func liveCountSchedule(dir string, seed int64, steps int, did map[string]int) er
 					did["disown"]++
 				}
 			}
-			if err := checkLiveMatchesScan(s); err != nil {
+			if err := checkLive(s, fold, func(string) bool { return true }); err != nil {
 				return fmt.Errorf("step %d (disown): %w", step, err)
 			}
 			opErr = s.Start()
@@ -772,8 +920,63 @@ func liveCountSchedule(dir string, seed int64, steps int, did map[string]int) er
 		if opErr != nil {
 			return fmt.Errorf("step %d (%s): %w", step, op, opErr)
 		}
-		if err := checkLiveMatchesScan(s); err != nil {
+		if err := checkLive(s, fold, func(id string) bool { return disowned[id] }); err != nil {
 			return fmt.Errorf("step %d (%s): %w", step, op, err)
+		}
+	}
+	return nil
+}
+
+// checkLive is the schedule's check after each step: the counter
+// against the scan, and the WAL fold against the live table.
+func checkLive(s *Scheduler, fold *walFold, staged func(id string) bool) error {
+	if err := checkLiveMatchesScan(s); err != nil {
+		return err
+	}
+	return fold.check(s, staged)
+}
+
+// walFold folds the schedule's WAL file as it grows: each check
+// decodes only the records appended since the last one.
+type walFold struct {
+	path string
+	read int
+	recs []WALRecord
+}
+
+// check folds the WAL file and compares every job with the live table
+// on the fields the fold owns. staged names the jobs New staged from
+// RUNNING to PENDING that no re-enqueue record has journaled since
+// (before Start, or disowned).
+func (w *walFold) check(s *Scheduler, staged func(id string) bool) error {
+	b, err := os.ReadFile(w.path)
+	if err != nil {
+		return err
+	}
+	// Every append has returned when a step is checked, so the file ends
+	// with a whole record.
+	recs, err := ReadWALRecords(bytes.NewReader(b[w.read:]))
+	if err != nil {
+		return err
+	}
+	w.read, w.recs = len(b), append(w.recs, recs...)
+	replayed := FoldWALRecords(w.recs)
+	owned := func(j Job) Job {
+		return Job{ID: j.ID, State: j.State, Attempts: j.Attempts, Tenant: j.Tenant, Spec: j.Spec,
+			TraceID: j.TraceID, Result: j.Result, Error: j.Error,
+			SubmittedUnixNano: j.SubmittedUnixNano, StartedUnixNano: j.StartedUnixNano, FinishedUnixNano: j.FinishedUnixNano}
+	}
+	live := s.Jobs()
+	if len(live) != len(replayed) {
+		return fmt.Errorf("live table holds %d jobs, the WAL folds to %d", len(live), len(replayed))
+	}
+	sort.Slice(replayed, func(i, j int) bool { return replayed[i].ID < replayed[j].ID })
+	for i, job := range replayed {
+		if staged(job.ID) && job.State == StateRunning {
+			job.State = StatePending
+		}
+		if got, want := owned(live[i]), owned(*job); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("live job %+v\n  != WAL fold %+v", got, want)
 		}
 	}
 	return nil

@@ -99,18 +99,18 @@ func BenchmarkCompleteFanout(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				job := Job{ID: fmt.Sprintf("j-%06d", i+1), Tenant: "t1", State: StateRunning}
+				entry := &jobEntry{job: Job{ID: fmt.Sprintf("j-%06d", i+1), Tenant: "t1", State: StateRunning}}
 				s.mu.Lock()
-				s.jobs[job.ID] = &jobEntry{job: job}
-				s.live[job.Tenant]++
+				s.jobs[entry.job.ID] = entry
+				s.live[entry.job.Tenant]++
 				s.mu.Unlock()
 				for k := range live {
-					if _, live[k], _, err = s.Events(job.ID); err != nil {
+					if _, live[k], _, err = s.Events(entry.job.ID); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StartTimer()
-				s.complete(job.ID, StateDone, result, nil)
+				s.complete(entry, StateDone, result, nil)
 				b.StopTimer()
 				for _, ch := range live {
 					if ev, ok := <-ch; !ok || ev.Type != "done" {

@@ -215,6 +215,8 @@ func (s *Scheduler) onHealthTransition(t health.Transition) {
 		// Cut down in-flight jobs holding (or assigned) the sick
 		// instrument: cancel with requeue intent so the terminal
 		// handler re-enqueues from the checkpoint instead of failing.
+		// Dispatch assigns resources before it journals RUNNING, so an
+		// attempt is cut down from the moment it holds them.
 		s.mu.Lock()
 		type cut struct {
 			id     string
@@ -222,7 +224,7 @@ func (s *Scheduler) onHealthTransition(t health.Transition) {
 		}
 		var cuts []cut
 		for id, e := range s.jobs {
-			if e.job.State != StateRunning || !containsResource(e.resources, t.Resource) {
+			if !containsResource(e.resources, t.Resource) {
 				continue
 			}
 			e.requeueRequested = true

@@ -17,6 +17,8 @@ type fairQueue struct {
 	notEmpty *sync.Cond
 	capacity int
 	size     int
+	// reserved counts places Reserve claimed for jobs not pushed yet.
+	reserved int
 	seq      int64
 	closed   bool
 	tenants  map[string]*tenantQueue
@@ -53,25 +55,38 @@ func (q *fairQueue) Len() int {
 	return q.size
 }
 
-// Full reports whether the queue is at capacity.
-func (q *fairQueue) Full() bool {
+// Reserve claims a place for a job the caller pushes once its
+// transition is journaled, so no worker sees the job before its record
+// commits. It reports false when the queue is closed or every place is
+// queued or reserved: the caller turns that into a retry-after
+// rejection rather than blocking admission.
+func (q *fairQueue) Reserve() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.size >= q.capacity
+	if q.closed || q.size+q.reserved >= q.capacity {
+		return false
+	}
+	q.reserved++
+	return true
 }
 
-// Push enqueues a job for its tenant at the given fair-share weight.
-// It reports false when the queue is at capacity — the caller turns
-// that into a retry-after rejection rather than blocking admission.
-func (q *fairQueue) Push(job *Job, weight float64) bool {
+// Unreserve gives back a place whose job will not be pushed.
+func (q *fairQueue) Unreserve() {
+	q.mu.Lock()
+	q.reserved--
+	q.mu.Unlock()
+}
+
+// Push fills a place Reserve claimed with a job for its tenant at the
+// given fair-share weight. A job pushed after Close stays in the
+// backlog, where Pop no longer reaches it.
+func (q *fairQueue) Push(job *Job, weight float64) {
 	if weight <= 0 {
 		weight = 1
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || q.size >= q.capacity {
-		return false
-	}
+	q.reserved--
 	tq, ok := q.tenants[job.Tenant]
 	if !ok {
 		tq = &tenantQueue{}
@@ -95,7 +110,6 @@ func (q *fairQueue) Push(job *Job, weight float64) bool {
 	tq.jobs[i] = entry
 	q.size++
 	q.notEmpty.Signal()
-	return true
 }
 
 // Pop blocks until a job is available or the queue is closed, then

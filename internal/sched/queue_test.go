@@ -13,20 +13,38 @@ func mkJob(id, tenant string, priority int) *Job {
 func TestQueueCapacityRejects(t *testing.T) {
 	q := newFairQueue(3)
 	for i := 0; i < 3; i++ {
-		if !q.Push(mkJob(fmt.Sprintf("j-%d", i), "a", 0), 1) {
+		if !push(q, mkJob(fmt.Sprintf("j-%d", i), "a", 0), 1) {
 			t.Fatalf("push %d rejected below capacity", i)
 		}
 	}
-	if q.Push(mkJob("j-overflow", "a", 0), 1) {
+	if push(q, mkJob("j-overflow", "a", 0), 1) {
 		t.Fatal("push beyond capacity accepted")
 	}
 	// Draining one slot re-admits.
 	if _, ok := q.Pop(); !ok {
 		t.Fatal("pop failed")
 	}
-	if !q.Push(mkJob("j-readmit", "a", 0), 1) {
-		t.Fatal("push after drain rejected")
+	// A reserved place counts against capacity until it is given back.
+	if !q.Reserve() {
+		t.Fatal("reserve after drain rejected")
 	}
+	if push(q, mkJob("j-over-reserved", "a", 0), 1) {
+		t.Fatal("push into a reserved place accepted")
+	}
+	q.Unreserve()
+	if !push(q, mkJob("j-readmit", "a", 0), 1) {
+		t.Fatal("push after unreserve rejected")
+	}
+}
+
+// push reserves a place and fills it, reporting false when Reserve
+// refuses.
+func push(q *fairQueue, job *Job, weight float64) bool {
+	if !q.Reserve() {
+		return false
+	}
+	q.Push(job, weight)
+	return true
 }
 
 // TestQueueFairShareNoStarvation is the ISSUE's acceptance property: a
@@ -37,10 +55,10 @@ func TestQueueCapacityRejects(t *testing.T) {
 func TestQueueFairShareNoStarvation(t *testing.T) {
 	q := newFairQueue(128)
 	for i := 0; i < 50; i++ {
-		q.Push(mkJob(fmt.Sprintf("heavy-%02d", i), "heavy", 0), 1)
+		push(q, mkJob(fmt.Sprintf("heavy-%02d", i), "heavy", 0), 1)
 	}
 	for i := 0; i < 5; i++ {
-		q.Push(mkJob(fmt.Sprintf("light-%02d", i), "light", 0), 1)
+		push(q, mkJob(fmt.Sprintf("light-%02d", i), "light", 0), 1)
 	}
 	lastLight := -1
 	for i := 0; i < 55; i++ {
@@ -63,8 +81,8 @@ func TestQueueFairShareNoStarvation(t *testing.T) {
 func TestQueueWeightedShare(t *testing.T) {
 	q := newFairQueue(256)
 	for i := 0; i < 60; i++ {
-		q.Push(mkJob(fmt.Sprintf("big-%02d", i), "big", 0), 3)
-		q.Push(mkJob(fmt.Sprintf("small-%02d", i), "small", 0), 1)
+		push(q, mkJob(fmt.Sprintf("big-%02d", i), "big", 0), 3)
+		push(q, mkJob(fmt.Sprintf("small-%02d", i), "small", 0), 1)
 	}
 	big := 0
 	for i := 0; i < 40; i++ {
@@ -81,9 +99,9 @@ func TestQueueWeightedShare(t *testing.T) {
 
 func TestQueuePriorityWithinTenant(t *testing.T) {
 	q := newFairQueue(16)
-	q.Push(mkJob("low-1", "a", 1), 1)
-	q.Push(mkJob("high", "a", 5), 1)
-	q.Push(mkJob("low-2", "a", 1), 1)
+	push(q, mkJob("low-1", "a", 1), 1)
+	push(q, mkJob("high", "a", 5), 1)
+	push(q, mkJob("low-2", "a", 1), 1)
 	var got []string
 	for i := 0; i < 3; i++ {
 		job, _ := q.Pop()
@@ -104,15 +122,15 @@ func TestQueueIdleTenantCannotBankCredit(t *testing.T) {
 	q := newFairQueue(128)
 	// Tenant a alone dispatches 20 jobs; its pass advances to 20.
 	for i := 0; i < 20; i++ {
-		q.Push(mkJob(fmt.Sprintf("a-%02d", i), "a", 0), 1)
+		push(q, mkJob(fmt.Sprintf("a-%02d", i), "a", 0), 1)
 	}
 	for i := 0; i < 20; i++ {
 		q.Pop()
 	}
 	// Tenant b was idle the whole time. Now both submit 10.
 	for i := 0; i < 10; i++ {
-		q.Push(mkJob(fmt.Sprintf("a2-%02d", i), "a", 0), 1)
-		q.Push(mkJob(fmt.Sprintf("b-%02d", i), "b", 0), 1)
+		push(q, mkJob(fmt.Sprintf("a2-%02d", i), "a", 0), 1)
+		push(q, mkJob(fmt.Sprintf("b-%02d", i), "b", 0), 1)
 	}
 	bRun := 0
 	for i := 0; i < 10; i++ {
@@ -134,7 +152,7 @@ func TestQueueRemoveAndConservation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tenant := fmt.Sprintf("t%d", rng.Intn(4))
 		id := fmt.Sprintf("%s-j%d", tenant, i)
-		if q.Push(mkJob(id, tenant, rng.Intn(10)), float64(1+rng.Intn(3))) {
+		if push(q, mkJob(id, tenant, rng.Intn(10)), float64(1+rng.Intn(3))) {
 			pushed++
 			if i == 42 {
 				victim = id
@@ -160,14 +178,14 @@ func TestQueueRemoveAndConservation(t *testing.T) {
 
 func TestQueueCloseUnblocksAndKeepsBacklog(t *testing.T) {
 	q := newFairQueue(8)
-	q.Push(mkJob("j-1", "a", 0), 1)
+	push(q, mkJob("j-1", "a", 0), 1)
 	done := make(chan bool)
 	go func() {
 		q.Pop() // takes j-1 (or j-2, whichever lands first)
 		_, ok := q.Pop()
 		done <- ok
 	}()
-	q.Push(mkJob("j-2", "a", 0), 1)
+	push(q, mkJob("j-2", "a", 0), 1)
 	// j-2 may or may not be taken before Close lands; what matters is
 	// that Pop returns false after Close instead of hanging.
 	q.Close()
@@ -178,7 +196,7 @@ func TestQueueCloseUnblocksAndKeepsBacklog(t *testing.T) {
 			t.Fatal("Pop returned a job after Close")
 		}
 	}
-	if q.Push(mkJob("j-3", "a", 0), 1) {
+	if push(q, mkJob("j-3", "a", 0), 1) {
 		t.Fatal("Push accepted after Close")
 	}
 }

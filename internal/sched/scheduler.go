@@ -116,12 +116,12 @@ type Scheduler struct {
 	jobs map[string]*jobEntry
 	// live counts each tenant's non-terminal entries in jobs: the number
 	// the MaxOutstanding quota bounds. It moves only where an entry
-	// enters the table non-terminal (WAL replay, Submit, Adopt), is
-	// rolled back out of it, or turns terminal (complete) — so admission
-	// never has to walk the job history.
+	// enters the table non-terminal (WAL replay, Submit, Adopt) or turns
+	// terminal (transition) — so admission never has to walk the job
+	// history.
 	live      map[string]int
 	cancels   map[string]context.CancelFunc
-	recovered []*Job
+	recovered []*jobEntry
 	nextSeq   int
 	started   bool
 	stopped   bool
@@ -205,7 +205,7 @@ func New(cfg Config) (*Scheduler, error) {
 		entry.job.Resumed = entry.job.State == StateRunning
 		entry.job.State = StatePending
 		s.live[job.Tenant]++
-		s.recovered = append(s.recovered, &entry.job)
+		s.recovered = append(s.recovered, entry)
 	}
 	return s, nil
 }
@@ -240,8 +240,8 @@ func (s *Scheduler) Recovered() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Job, 0, len(s.recovered))
-	for _, j := range s.recovered {
-		out = append(out, *j)
+	for _, e := range s.recovered {
+		out = append(out, e.job)
 	}
 	return out
 }
@@ -252,8 +252,8 @@ func (s *Scheduler) Recovered() []Job {
 func (s *Scheduler) Disown(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, j := range s.recovered {
-		if j.ID == id {
+	for i, e := range s.recovered {
+		if e.job.ID == id {
 			s.recovered = append(s.recovered[:i], s.recovered[i+1:]...)
 			return true
 		}
@@ -281,8 +281,11 @@ func (s *Scheduler) Adopt(job Job) error {
 		s.mu.Unlock()
 		return fmt.Errorf("sched: job %s already known", job.ID)
 	}
+	if !s.queue.Reserve() {
+		s.mu.Unlock()
+		return &Busy{Reason: "queue full", RetryAfter: s.cfg.RetryAfter}
+	}
 	job.Resumed = job.Resumed || job.State == StateRunning
-	job.State = StatePending
 	entry := &jobEntry{job: job}
 	s.jobs[job.ID] = entry
 	s.live[job.Tenant]++
@@ -291,35 +294,16 @@ func (s *Scheduler) Adopt(job Job) error {
 	// Re-root into the job's persisted trace and mark the handoff: the
 	// stitched trace shows the crashed attempt and the adopted resume
 	// as one story, joined by the failover event.
-	span := s.rootSpan(&entry.job)
+	span := s.rootSpan(&job)
 	span.SetAttr("adopted", "true")
 	span.Event("cluster.failover", "job", job.ID)
-	queued := s.queuedSpan(span)
-	s.mu.Lock()
-	entry.span, entry.queued = span, queued
-	snapshot := entry.job
-	s.mu.Unlock()
-
-	limits := s.tenantLimits(snapshot.Tenant)
-	if !s.queue.Push(&entry.job, limits.weight()) {
-		s.mu.Lock()
-		s.dropLocked(&snapshot)
-		s.mu.Unlock()
-		queued.End()
-		span.EndErr(fmt.Errorf("adoption rejected: queue full"))
-		return &Busy{Reason: "queue full", RetryAfter: s.cfg.RetryAfter}
+	s.attachSpans(entry, span)
+	rec := WALRecord{Tenant: job.Tenant, State: StatePending, Spec: &job.Spec, TraceID: job.TraceID, Attempt: job.Attempts}
+	if _, err := s.transition(entry, rec, "adopted", fmt.Sprintf("adopted from failed peer gateway (attempt %d begun before crash)", job.Attempts), true); err != nil {
+		return err
 	}
-	s.metrics.Gauge("sched.queue.depth").Inc()
 	s.metrics.Counter("sched.jobs.adopted").Inc()
-	s.emit(snapshot.ID, "adopted", fmt.Sprintf("adopted from failed peer gateway (attempt %d begun before crash)", snapshot.Attempts))
-	return s.wal.Append(WALRecord{
-		Job:     snapshot.ID,
-		Tenant:  snapshot.Tenant,
-		State:   StatePending,
-		Spec:    &snapshot.Spec,
-		TraceID: snapshot.TraceID,
-		Attempt: snapshot.Attempts,
-	})
+	return nil
 }
 
 // Start launches the worker pool and re-enqueues jobs recovered from
@@ -339,35 +323,31 @@ func (s *Scheduler) Start() error {
 	s.recovered = nil
 	s.mu.Unlock()
 
-	for _, job := range recovered {
-		limits := s.tenantLimits(job.Tenant)
+	for _, entry := range recovered {
 		// Re-root the recovered job into the trace ID persisted in the
 		// WAL: the new incarnation's spans land next to the crashed
-		// attempt's, stitching the trace across the restart.
-		span := s.rootSpan(job)
+		// attempt's, stitching the trace across the restart. The copy
+		// takes the ID; the record folds it into the table.
+		job := entry.job
+		span := s.rootSpan(&job)
 		span.SetAttr("recovered", "true")
-		queued := s.queuedSpan(span)
-		s.mu.Lock()
-		if e, ok := s.jobs[job.ID]; ok {
-			e.span, e.queued = span, queued
-		}
-		s.mu.Unlock()
-		if !s.queue.Push(job, limits.weight()) {
+		s.attachSpans(entry, span)
+		if !s.queue.Reserve() {
 			// Can only happen if the WAL holds more live jobs than the
 			// (shrunken) queue capacity; keep the job visible as FAILED
 			// rather than silently dropping it.
-			s.completeOrphan(job.ID, "recovered job exceeds queue capacity")
+			s.complete(entry, StateFailed, nil, errors.New("recovered job exceeds queue capacity"))
 			continue
 		}
-		s.metrics.Gauge("sched.queue.depth").Inc()
-		s.metrics.Counter("sched.jobs.recovered").Inc()
+		eventType, message := "queued", "re-enqueued after daemon restart"
 		if job.Resumed {
-			s.emit(job.ID, "resumed", fmt.Sprintf("re-enqueued after daemon restart (attempt %d begun before crash)", job.Attempts))
-		} else {
-			s.emit(job.ID, "queued", "re-enqueued after daemon restart")
+			eventType, message = "resumed", fmt.Sprintf("re-enqueued after daemon restart (attempt %d begun before crash)", job.Attempts)
 		}
 		// Journal the re-enqueue so a second crash replays the same way.
-		s.wal.Append(WALRecord{Job: job.ID, State: StatePending, Attempt: job.Attempts, TraceID: job.TraceID})
+		rec := WALRecord{State: StatePending, Attempt: job.Attempts, TraceID: job.TraceID}
+		if _, err := s.transition(entry, rec, eventType, message, true); err == nil {
+			s.metrics.Counter("sched.jobs.recovered").Inc()
+		}
 	}
 	if s.health != nil {
 		// The health span is a trace of its own: probe outcomes and
@@ -424,9 +404,10 @@ func (s *Scheduler) Submit(spec JobSpec) (Job, error) {
 		}
 	}
 	// One critical section takes the job from nothing to admitted:
-	// quota, rate limit, ID and table entry. The quota slot is taken
-	// where it is checked, so concurrent submits of one tenant cannot
-	// both pass MaxOutstanding; every rejection below gives it back.
+	// quota, rate limit, queue place, ID and table entry. The quota slot
+	// and the queue place are taken where they are checked, so
+	// concurrent submits cannot both pass MaxOutstanding or the queue
+	// capacity, and no rejection has anything to give back.
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -447,13 +428,17 @@ func (s *Scheduler) Submit(spec JobSpec) (Job, error) {
 		}
 		return Job{}, &Busy{Reason: "rate limit", RetryAfter: retryAfter}
 	}
+	if !s.queue.Reserve() {
+		s.mu.Unlock()
+		s.metrics.Counter("sched.jobs.rejected.full").Inc()
+		return Job{}, &Busy{Reason: fmt.Sprintf("queue full (%d jobs)", s.cfg.QueueCapacity), RetryAfter: s.cfg.RetryAfter}
+	}
 	s.nextSeq++
 	entry := &jobEntry{job: Job{
-		ID:                fmt.Sprintf("%s-%06d", s.cfg.IDPrefix, s.nextSeq),
-		Tenant:            spec.Tenant,
-		Spec:              spec,
-		State:             StatePending,
-		SubmittedUnixNano: time.Now().UnixNano(),
+		ID:     fmt.Sprintf("%s-%06d", s.cfg.IDPrefix, s.nextSeq),
+		Tenant: spec.Tenant,
+		Spec:   spec,
+		State:  StatePending,
 	}}
 	s.jobs[entry.job.ID] = entry
 	s.live[spec.Tenant]++
@@ -464,38 +449,17 @@ func (s *Scheduler) Submit(spec JobSpec) (Job, error) {
 	// transition; its trace ID is returned to the submitter and survives
 	// in the WAL, so the whole lifecycle — across daemon restarts — is
 	// one trace. The spans open outside the lock (the tracer has locks
-	// of its own) and are attached before the queue can hand the job to
-	// a worker.
-	span := s.rootSpan(&job)
-	queued := s.queuedSpan(span)
-	s.mu.Lock()
-	entry.job.TraceID = job.TraceID
-	entry.span, entry.queued = span, queued
-	s.mu.Unlock()
-
-	reject := func() {
-		s.mu.Lock()
-		s.dropLocked(&job)
-		s.mu.Unlock()
-		queued.End()
-		span.EndErr(fmt.Errorf("rejected at admission"))
-	}
-	if !s.queue.Push(&entry.job, limits.weight()) {
-		reject()
-		s.metrics.Counter("sched.jobs.rejected.full").Inc()
-		return Job{}, &Busy{Reason: fmt.Sprintf("queue full (%d jobs)", s.cfg.QueueCapacity), RetryAfter: s.cfg.RetryAfter}
-	}
-	s.metrics.Gauge("sched.queue.depth").Inc()
-	s.metrics.Counter("sched.jobs.submitted").Inc()
+	// of its own).
+	s.attachSpans(entry, s.rootSpan(&job))
 	// The fsynced PENDING record makes the admission durable: after
-	// this append, a crashed daemon re-enqueues the job on restart.
-	if err := s.wal.Append(WALRecord{Job: job.ID, Tenant: job.Tenant, State: StatePending, Spec: &spec, TraceID: job.TraceID}); err != nil {
-		s.queue.Remove(job.ID)
-		s.metrics.Gauge("sched.queue.depth").Dec()
-		reject()
+	// this append, a crashed daemon re-enqueues the job on restart. A
+	// record that fails to commit fails the job instead.
+	rec := WALRecord{Tenant: job.Tenant, State: StatePending, Spec: &spec, TraceID: job.TraceID}
+	job, err := s.transition(entry, rec, "queued", fmt.Sprintf("admitted %s job for tenant %s", spec.Kind, spec.Tenant), true)
+	if err != nil {
 		return Job{}, err
 	}
-	s.emit(job.ID, "queued", fmt.Sprintf("admitted %s job for tenant %s", spec.Kind, spec.Tenant))
+	s.metrics.Counter("sched.jobs.submitted").Inc()
 	return job, nil
 }
 
@@ -522,7 +486,7 @@ func (s *Scheduler) Cancel(id string) error {
 	}
 	if s.queue.Remove(id) {
 		s.metrics.Gauge("sched.queue.depth").Dec()
-		s.complete(id, StateCancelled, nil, nil)
+		s.complete(entry, StateCancelled, nil, nil)
 	}
 	return nil
 }
@@ -730,7 +694,7 @@ func (s *Scheduler) runJob(job *Job) {
 	var resources []string
 	if gated {
 		var proceed bool
-		resources, proceed = s.waitForInstruments(&pre, deadline, hasDeadline)
+		resources, proceed = s.waitForInstruments(entry, deadline, hasDeadline)
 		if !proceed {
 			return // stopped (job stays PENDING in the WAL), failed on deadline, or cancelled
 		}
@@ -738,7 +702,7 @@ func (s *Scheduler) runJob(job *Job) {
 	// A deadline that exhausted in the queue fails before a lease is
 	// ever taken.
 	if hasDeadline && !time.Now().Before(deadline) {
-		s.complete(job.ID, StateFailed, nil, fmt.Errorf("deadline exhausted before dispatch (%dms budget)", pre.Spec.DeadlineMS))
+		s.complete(entry, StateFailed, nil, fmt.Errorf("deadline exhausted before dispatch (%dms budget)", pre.Spec.DeadlineMS))
 		return
 	}
 
@@ -756,14 +720,17 @@ func (s *Scheduler) runJob(job *Job) {
 		s.mu.Unlock()
 		return
 	}
-	entry.job.State = StateRunning
-	entry.job.Attempts++
-	entry.job.StartedUnixNano = time.Now().UnixNano()
+	if entry.cancelRequested { // cancelled after Pop, before its cancel func was registered
+		s.mu.Unlock()
+		s.metrics.Gauge("sched.queue.depth").Dec()
+		s.complete(entry, StateCancelled, nil, nil)
+		return
+	}
 	entry.job.Resources = resources
 	entry.resources = resources
 	entry.requeueRequested = false
 	s.cancels[job.ID] = cancel
-	snapshot := entry.job
+	attempt, resumed := entry.job.Attempts+1, entry.job.Resumed
 	rootSpan, queued := entry.span, entry.queued
 	entry.queued = nil
 	s.mu.Unlock()
@@ -771,12 +738,11 @@ func (s *Scheduler) runJob(job *Job) {
 	queued.End()
 	s.metrics.Gauge("sched.queue.depth").Dec()
 	s.metrics.Gauge("sched.jobs.running").Inc()
-	s.wal.Append(WALRecord{Job: snapshot.ID, State: StateRunning, Attempt: snapshot.Attempts})
-	if snapshot.Resumed {
-		s.emit(snapshot.ID, "started", fmt.Sprintf("resuming (attempt %d)", snapshot.Attempts))
-	} else {
-		s.emit(snapshot.ID, "started", fmt.Sprintf("dispatched to worker (attempt %d)", snapshot.Attempts))
+	message := fmt.Sprintf("dispatched to worker (attempt %d)", attempt)
+	if resumed {
+		message = fmt.Sprintf("resuming (attempt %d)", attempt)
 	}
+	snapshot, _ := s.transition(entry, WALRecord{State: StateRunning, Attempt: attempt}, "started", message, false)
 
 	// The run span carries the attempt; the runner's context carries it
 	// downstream, so every task, lease, RPC and retrieval span in this
@@ -810,10 +776,10 @@ func (s *Scheduler) runJob(job *Job) {
 	switch {
 	case err == nil:
 		s.finishRun(entry)
-		s.complete(job.ID, StateDone, result, nil)
+		s.complete(entry, StateDone, result, nil)
 	case cancelled && errors.Is(err, context.Canceled):
 		s.finishRun(entry)
-		s.complete(job.ID, StateCancelled, nil, err)
+		s.complete(entry, StateCancelled, nil, err)
 	default:
 		deadlinePast := hasDeadline && !time.Now().Before(deadline)
 		cls := health.ClassWorkload
@@ -846,7 +812,7 @@ func (s *Scheduler) runJob(job *Job) {
 		if deadlinePast && errors.Is(err, context.DeadlineExceeded) {
 			err = fmt.Errorf("deadline exceeded (%dms end-to-end budget): %w", snapshot.Spec.DeadlineMS, err)
 		}
-		s.complete(job.ID, StateFailed, nil, err)
+		s.complete(entry, StateFailed, nil, err)
 	}
 }
 
@@ -868,32 +834,29 @@ func (s *Scheduler) finishRun(entry *jobEntry) bool {
 // should not run: the scheduler stopped (the popped job keeps its
 // PENDING WAL record and re-enqueues next start), its deadline
 // exhausted, or it was cancelled while held.
-func (s *Scheduler) waitForInstruments(job *Job, deadline time.Time, hasDeadline bool) ([]string, bool) {
+func (s *Scheduler) waitForInstruments(entry *jobEntry, deadline time.Time, hasDeadline bool) ([]string, bool) {
+	id, spec := entry.job.ID, entry.job.Spec
 	warned := false
 	for {
-		if res, blocked, ok := s.assignInstruments(job.Spec); ok {
+		if res, blocked, ok := s.assignInstruments(spec); ok {
 			return res, true
 		} else if !warned {
 			warned = true
 			s.metrics.Counter("sched.dispatch.held").Inc()
-			s.emit(job.ID, "waiting", fmt.Sprintf("dispatch held: every %s instrument is quarantined", blocked))
+			s.emit(id, "waiting", fmt.Sprintf("dispatch held: every %s instrument is quarantined", blocked))
 		}
 		s.mu.Lock()
-		cancelled := false
-		if e, ok := s.jobs[job.ID]; ok {
-			if e.job.State.Terminal() {
-				s.mu.Unlock()
-				return nil, false
-			}
-			cancelled = e.cancelRequested
-		}
+		terminal, cancelled := entry.job.State.Terminal(), entry.cancelRequested
 		s.mu.Unlock()
+		if terminal {
+			return nil, false
+		}
 		if cancelled {
-			s.complete(job.ID, StateCancelled, nil, nil)
+			s.complete(entry, StateCancelled, nil, nil)
 			return nil, false
 		}
 		if hasDeadline && !time.Now().Before(deadline) {
-			s.complete(job.ID, StateFailed, nil, fmt.Errorf("deadline exhausted while every capable instrument was quarantined (%dms budget)", job.Spec.DeadlineMS))
+			s.complete(entry, StateFailed, nil, fmt.Errorf("deadline exhausted while every capable instrument was quarantined (%dms budget)", spec.DeadlineMS))
 			return nil, false
 		}
 		changed := s.health.Changed()
@@ -909,109 +872,118 @@ func (s *Scheduler) waitForInstruments(job *Job, deadline time.Time, hasDeadline
 	}
 }
 
-// requeueJob returns a cut-down job to the queue: state back to
-// PENDING with Resumed set (the runner restores the workflow journal,
-// so completed tasks are not re-run), a fresh queued span under the
-// same root, and a durable PENDING record. Returns false when the
-// requeue could not happen and the caller should fail the job instead.
+// requeueJob returns a cut-down job to the queue: Resumed set (the
+// runner restores the workflow journal, so completed tasks are not
+// re-run), a fresh queued span under the same root, and a PENDING
+// transition. At shutdown the queue is closed, so the PENDING record
+// alone carries the checkpoint to the next incarnation. Returns false
+// when the requeue could not happen and the caller should fail the
+// job instead.
 func (s *Scheduler) requeueJob(entry *jobEntry, cause error) bool {
+	enqueue := s.queue.Reserve()
 	s.mu.Lock()
-	if entry.job.State.Terminal() {
+	if !enqueue && !s.stopped {
 		s.mu.Unlock()
-		return false
+		return false // queue full
 	}
-	entry.job.State = StatePending
 	entry.job.Resumed = true
 	entry.job.Resources = nil
-	snapshot := entry.job
-	root := entry.span
+	attempt, traceID, root := entry.job.Attempts, entry.job.TraceID, entry.span
 	s.mu.Unlock()
 
 	root.Event("sched.requeue", "cause", cause.Error())
-	queued := s.queuedSpan(root)
-	s.mu.Lock()
-	entry.queued = queued
-	s.mu.Unlock()
-
-	limits := s.tenantLimits(snapshot.Tenant)
-	if !s.queue.Push(&entry.job, limits.weight()) {
-		// Queue closed (shutdown) or full. At shutdown, journal the
-		// PENDING state so the next incarnation resumes the checkpoint.
-		s.mu.Lock()
-		stopped := s.stopped
-		entry.queued = nil
-		s.mu.Unlock()
-		queued.End()
-		if stopped {
-			s.wal.Append(WALRecord{Job: snapshot.ID, State: StatePending, Attempt: snapshot.Attempts, TraceID: snapshot.TraceID})
-			return true
-		}
-		return false
+	if enqueue {
+		s.attachSpans(entry, root)
 	}
-	s.metrics.Gauge("sched.queue.depth").Inc()
-	s.metrics.Counter("sched.jobs.requeued").Inc()
-	s.wal.Append(WALRecord{Job: snapshot.ID, State: StatePending, Attempt: snapshot.Attempts, TraceID: snapshot.TraceID})
-	s.emit(snapshot.ID, "requeued", fmt.Sprintf("checkpoint-requeued after attempt %d: %v", snapshot.Attempts, cause))
+	rec := WALRecord{State: StatePending, Attempt: attempt, TraceID: traceID}
+	if _, err := s.transition(entry, rec, "requeued", fmt.Sprintf("checkpoint-requeued after attempt %d: %v", attempt, cause), enqueue); err == nil && enqueue {
+		s.metrics.Counter("sched.jobs.requeued").Inc()
+	}
 	return true
 }
 
-// complete records a terminal transition. The WAL record goes first;
-// then one critical section sets the state, frees the tenant's quota
-// slot, appends the terminal event and detaches the subscribers — so a
-// reader that sees a terminal state also sees its terminal event, and
-// a subscriber is either handed that event live or finds it in the
-// backlog. Span close-out, counters, fan-out and channel close follow
-// outside the lock.
-func (s *Scheduler) complete(id string, state State, result json.RawMessage, cause error) {
-	rec := WALRecord{Job: id, State: state, Result: result}
-	if cause != nil && state == StateFailed {
-		rec.Error = cause.Error()
-	}
-	s.wal.Append(rec)
-
+// complete records a terminal transition: DONE with the runner's
+// result, FAILED with its cause, or CANCELLED.
+func (s *Scheduler) complete(entry *jobEntry, state State, result json.RawMessage, cause error) {
+	rec := WALRecord{State: state, Result: result}
 	counter, eventType, message := "sched.jobs.done", "done", "job complete"
 	switch state {
 	case StateFailed:
+		rec.Error = cause.Error()
 		counter, eventType, message = "sched.jobs.failed", "failed", rec.Error
 	case StateCancelled:
 		counter, eventType, message = "sched.jobs.cancelled", "cancelled", "job cancelled"
 	}
+	s.transition(entry, rec, eventType, message, false)
+	s.metrics.Counter(counter).Inc()
+}
 
+// transition is the one way a job changes state, and it returns the
+// job as folded. The order is fixed: journal the record, fold it into
+// the live entry with applyRecord (the fold OpenWAL replays with),
+// append the event, and only then — when enqueue says the caller
+// reserved a queue place — push the job, so no worker can see it
+// before its record has committed and its event is in the log. The
+// fold and the event share one critical section, so a reader that sees
+// the new state also sees its event; a Cancel that lands before the
+// push leaves an intent that the transition honours once the job is
+// queued. A terminal transition also frees the tenant's quota slot and
+// detaches the subscribers in that section; their channels get the
+// event and close after it, and the spans close with the job's state.
+// A record that was to enqueue the job and failed to commit fails the
+// job with the append error instead (its place goes back), and the
+// error is returned.
+func (s *Scheduler) transition(entry *jobEntry, rec WALRecord, eventType, message string, enqueue bool) (Job, error) {
+	rec.Job, rec.TimeUnixNano = entry.job.ID, time.Now().UnixNano()
+	err := s.wal.Append(rec)
+	terminal := rec.State.Terminal()
 	s.mu.Lock()
-	entry, ok := s.jobs[id]
-	if !ok {
-		// The admission was rolled back (its PENDING record failed to
-		// commit) after a worker had already taken the job.
-		s.mu.Unlock()
-		return
-	}
-	if !entry.job.State.Terminal() {
+	if terminal && !entry.job.State.Terminal() {
 		s.releaseSlotLocked(entry.job.Tenant)
 	}
-	entry.job.State = state
-	entry.job.Result = result
-	entry.job.FinishedUnixNano = time.Now().UnixNano()
-	if rec.Error != "" {
-		entry.job.Error = rec.Error
+	applyRecord(&entry.job, rec)
+	if err != nil && enqueue {
+		s.mu.Unlock()
+		s.queue.Unreserve()
+		s.complete(entry, StateFailed, nil, err)
+		return Job{}, err
 	}
-	ev := entry.appendEvent(id, eventType, message)
-	span, queued := entry.span, entry.queued
-	entry.span, entry.queued = nil, nil
-	subs := entry.subs
-	entry.subs = nil
+	ev := entry.appendEvent(eventType, message)
+	job, span, queued, subs := entry.job, entry.span, entry.queued, entry.subs
+	if terminal {
+		entry.span, entry.queued, entry.subs = nil, nil, nil
+	} else {
+		entry.send(ev)
+	}
+	weight := s.tenantLimitsLocked(job.Tenant).weight()
 	s.mu.Unlock()
 
+	if enqueue {
+		s.queue.Push(&entry.job, weight)
+		s.metrics.Gauge("sched.queue.depth").Inc()
+		// A Cancel that found the job neither running nor queued left
+		// only its intent; one that comes after this check finds the job
+		// queued, or its dispatch finds the intent.
+		s.mu.Lock()
+		cancelled := entry.cancelRequested
+		s.mu.Unlock()
+		if cancelled && s.queue.Remove(job.ID) {
+			s.metrics.Gauge("sched.queue.depth").Dec()
+			s.complete(entry, StateCancelled, nil, nil)
+		}
+	}
+	if !terminal {
+		return job, nil
+	}
 	// Close out the trace: the queue-wait child first (still open when
 	// a job dies queued), then the root with the terminal state.
 	queued.End()
-	span.SetAttr("state", string(state))
-	if state == StateFailed {
-		span.EndErr(cause)
+	span.SetAttr("state", string(rec.State))
+	if rec.State == StateFailed {
+		span.EndErr(errors.New(rec.Error))
 	} else {
 		span.End()
 	}
-	s.metrics.Counter(counter).Inc()
-
 	// The detached channels are this goroutine's alone now: emit sends
 	// under the lock and only to attached subscribers.
 	for _, ch := range subs {
@@ -1021,45 +993,44 @@ func (s *Scheduler) complete(id string, state State, result json.RawMessage, cau
 		}
 		close(ch)
 	}
+	return job, nil
 }
 
-// completeOrphan fails a recovered job that could not re-enqueue.
-func (s *Scheduler) completeOrphan(id, reason string) {
-	s.complete(id, StateFailed, nil, fmt.Errorf("%s", reason))
-}
-
-// emit appends an event to the job's log and fans it out to
-// subscribers (non-blocking: a stalled SSE client drops events rather
-// than stalling the lab). The sends happen under the lock, so they can
-// never reach a channel complete has detached and closed.
+// emit appends a progress event to the job's log and fans it out. The
+// sends happen under the lock, so they can never reach a channel a
+// terminal transition has detached and closed.
 func (s *Scheduler) emit(id, eventType, message string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entry, ok := s.jobs[id]
-	if !ok {
-		return
-	}
-	ev := entry.appendEvent(id, eventType, message)
-	for _, ch := range entry.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	if entry, ok := s.jobs[id]; ok {
+		entry.send(entry.appendEvent(eventType, message))
 	}
 }
 
 // appendEvent stamps the next event of the job's stream and adds it to
 // the log. Caller holds the scheduler's lock.
-func (e *jobEntry) appendEvent(id, eventType, message string) Event {
+func (e *jobEntry) appendEvent(eventType, message string) Event {
 	ev := Event{
 		Seq:          len(e.events) + 1,
 		TimeUnixNano: time.Now().UnixNano(),
-		Job:          id,
+		Job:          e.job.ID,
 		Type:         eventType,
 		Message:      message,
 	}
 	e.events = append(e.events, ev)
 	return ev
+}
+
+// send fans an event out to the attached subscribers without blocking:
+// a stalled SSE client drops events rather than stalling the lab.
+// Caller holds the scheduler's lock.
+func (e *jobEntry) send(ev Event) {
+	for _, ch := range e.subs {
+		select {
+		case ch <- ev:
+		default:
+		}
+	}
 }
 
 // rootSpan opens the job's root span and stamps the job with its
@@ -1076,18 +1047,14 @@ func (s *Scheduler) rootSpan(job *Job) *trace.Span {
 	return span
 }
 
-// queuedSpan opens the queue-wait child under the job's root span; it
-// ends when a worker dispatches (or the job dies queued).
-func (s *Scheduler) queuedSpan(root *trace.Span) *trace.Span {
+// attachSpans attaches the job's root span and a queue-wait child
+// under it, which ends when a worker dispatches (or the job dies
+// queued). Callers attach before the job can reach a worker.
+func (s *Scheduler) attachSpans(entry *jobEntry, root *trace.Span) {
 	_, queued := trace.Start(trace.ContextWithSpan(context.Background(), root), "sched.queued", trace.ClassSched)
-	return queued
-}
-
-// dropLocked rolls an admission back: the entry leaves the job table
-// and its tenant gets the quota slot back. Caller holds s.mu.
-func (s *Scheduler) dropLocked(job *Job) {
-	delete(s.jobs, job.ID)
-	s.releaseSlotLocked(job.Tenant)
+	s.mu.Lock()
+	entry.span, entry.queued = root, queued
+	s.mu.Unlock()
 }
 
 // releaseSlotLocked returns one of the tenant's live-job slots; an
@@ -1096,13 +1063,6 @@ func (s *Scheduler) releaseSlotLocked(tenant string) {
 	if s.live[tenant]--; s.live[tenant] == 0 {
 		delete(s.live, tenant)
 	}
-}
-
-// tenantLimits resolves a tenant's limits outside the lock.
-func (s *Scheduler) tenantLimits(tenant string) TenantLimits {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tenantLimitsLocked(tenant)
 }
 
 func (s *Scheduler) tenantLimitsLocked(tenant string) TenantLimits {

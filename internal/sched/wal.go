@@ -271,14 +271,17 @@ func FoldWALRecords(recs []WALRecord) []*Job {
 	return jobs
 }
 
-// applyRecord folds one transition into the job. Submit queues a job
-// before it journals the admission, so a worker's RUNNING or terminal
-// record can take a lower Seq than the admission record. A late
-// admission record (attempt 0) still adds what it carries, but it
-// never moves the job back to PENDING.
+// applyRecord folds one transition into the job: replay folds the WAL
+// with it, and the live scheduler folds each record it journals. A
+// late PENDING record — one folded after the job finished, or carrying
+// an older attempt than the job has begun — still adds what it
+// carries, but it never moves the job back. The scheduler journals
+// every PENDING record before a worker can see the job, so it writes
+// none; the rule stays because WALs written when admission, adoption
+// and requeue enqueued before they journaled still hold them (RUNNING
+// or DONE at a lower Seq than the PENDING record that queued them).
 func applyRecord(job *Job, rec WALRecord) {
-	late := rec.State == StatePending && rec.Attempt == 0 &&
-		(job.State == StateRunning || job.State.Terminal())
+	late := rec.State == StatePending && (job.State.Terminal() || rec.Attempt < job.Attempts)
 	if !late {
 		job.State = rec.State
 	}

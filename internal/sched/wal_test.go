@@ -175,11 +175,12 @@ func TestWALLatestRecordWins(t *testing.T) {
 	}
 }
 
-// TestFoldLateAdmissionKeepsState folds the order a fast job can leave
-// in the WAL: Submit queues before it journals, so the worker's RUNNING
-// and DONE records take lower sequence numbers than the admission. The
-// admission still supplies the spec, tenant, trace and submit time,
-// but the job stays DONE: a restart must not run it again.
+// TestFoldLateAdmissionKeepsState folds the order a fast job could
+// leave in a WAL written while Submit queued before it journaled: the
+// worker's RUNNING and DONE records took lower sequence numbers than
+// the admission. The admission still supplies the spec, tenant, trace
+// and submit time, but the job stays DONE: a restart must not run it
+// again.
 func TestFoldLateAdmissionKeepsState(t *testing.T) {
 	jobs := FoldWALRecords([]WALRecord{
 		{Seq: 1, Job: "j-000001", State: StateRunning, Attempt: 1, TimeUnixNano: 20},
@@ -193,5 +194,26 @@ func TestFoldLateAdmissionKeepsState(t *testing.T) {
 	if j.State != StateDone || j.Attempts != 1 || j.Tenant != "acl" || j.Spec.Kind != KindCV ||
 		j.TraceID != "tr-1" || j.SubmittedUnixNano != 10 || string(j.Result) != `{"ok":true}` {
 		t.Fatalf("folded job = %+v, want DONE with the admission's spec", j)
+	}
+}
+
+// TestFoldLateRequeueKeepsState folds the order a requeue (or an
+// adoption) could leave in a WAL written while it queued the job
+// before it journaled: the next attempt ran and finished before the
+// PENDING record of the attempt it requeued landed. The job stays DONE
+// with two attempts: a restart must not run it again.
+func TestFoldLateRequeueKeepsState(t *testing.T) {
+	jobs := FoldWALRecords([]WALRecord{
+		{Seq: 1, Job: "j-000001", Tenant: "acl", State: StatePending, Spec: walSpec("acl"), TimeUnixNano: 10},
+		{Seq: 2, Job: "j-000001", State: StateRunning, Attempt: 1, TimeUnixNano: 20},
+		{Seq: 3, Job: "j-000001", State: StateRunning, Attempt: 2, TimeUnixNano: 40},
+		{Seq: 4, Job: "j-000001", State: StateDone, Result: json.RawMessage(`{"ok":true}`), TimeUnixNano: 50},
+		{Seq: 5, Job: "j-000001", State: StatePending, Attempt: 1, TimeUnixNano: 30},
+	})
+	if len(jobs) != 1 {
+		t.Fatalf("folded %d jobs, want 1", len(jobs))
+	}
+	if j := jobs[0]; j.State != StateDone || j.Attempts != 2 || j.StartedUnixNano != 40 || j.FinishedUnixNano != 50 {
+		t.Fatalf("folded job = %+v, want DONE after attempt 2", j)
 	}
 }
